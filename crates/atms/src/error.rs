@@ -14,19 +14,6 @@ pub enum AtmsError {
         /// The offending node index.
         index: usize,
     },
-    /// A degree outside `[0, 1]` was supplied for a clause or nogood.
-    InvalidDegree {
-        /// The offending degree.
-        degree_millis: i64,
-    },
-}
-
-impl AtmsError {
-    pub(crate) fn invalid_degree(degree: f64) -> Self {
-        AtmsError::InvalidDegree {
-            degree_millis: (degree * 1000.0) as i64,
-        }
-    }
 }
 
 impl fmt::Display for AtmsError {
@@ -36,11 +23,6 @@ impl fmt::Display for AtmsError {
             AtmsError::SelfJustification { index } => {
                 write!(f, "node {index} cannot justify itself")
             }
-            AtmsError::InvalidDegree { degree_millis } => write!(
-                f,
-                "degree {} is outside the unit interval",
-                *degree_millis as f64 / 1000.0
-            ),
         }
     }
 }

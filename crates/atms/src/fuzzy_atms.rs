@@ -1,10 +1,8 @@
 use crate::assumptions::Assumption;
 use crate::candidates::CandidateSet;
 use crate::env::Env;
-use crate::error::AtmsError;
 use crate::hitting::minimal_hitting_sets_iter;
-use crate::interner::{DirtyQueue, EnvId, EnvTable, SubsetStats};
-use crate::Result;
+use crate::interner::{EnvId, EnvTable, SubsetStats};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -14,6 +12,8 @@ use std::sync::Mutex;
 /// possibilistic (Gödel) t-norm and the default. `Product` is offered as an
 /// ablation knob (experiment E5/ablation bench): it compounds doubt along
 /// long derivation chains instead of remembering only the weakest link.
+/// The propagation engine applies it to value pedigrees and to the
+/// degrees of the nogoods it installs here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TNorm {
     /// Gödel / possibilistic `min(a, b)` (default).
@@ -32,15 +32,6 @@ impl TNorm {
             TNorm::Product => a * b,
         }
     }
-}
-
-/// An environment together with the certainty degree of its derivation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedEnv {
-    /// The assumption set.
-    pub env: Env,
-    /// Certainty that the node holds under `env`, in `(0, 1]`.
-    pub degree: f64,
 }
 
 /// A graded conflict: "the assumptions in `env` cannot all hold — with
@@ -71,61 +62,31 @@ pub struct RankedDiagnosis {
     pub degree: f64,
 }
 
-#[derive(Debug, Clone)]
-struct FuzzyJustification {
-    antecedents: Vec<NodeRef>,
-    consequent: NodeRef,
-    degree: f64,
-    informant: String,
-}
-
-/// Internal node reference for the fuzzy engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NodeRef(u32);
-
-impl NodeRef {
-    /// The raw index of the node.
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-#[derive(Debug, Clone)]
-struct FuzzyNode {
-    /// Pareto-minimal label as flat interned `(environment, degree)` pairs.
-    label: Vec<(EnvId, f64)>,
-    consumers: Vec<u32>,
-    is_contradiction: bool,
-    /// Created through [`FuzzyAtms::add_premise`] — [`FuzzyAtms::reset`]
-    /// restores the empty-environment label.
-    is_premise: bool,
-    name: String,
-}
-
-/// The **fuzzy ATMS** — the kernel of FLAMES (§6 of the paper).
+/// The **fuzzy ATMS** of FLAMES (§6 of the paper), cut to what diagnosis
+/// asks of it: a *graded nogood store* with ranked candidates.
 ///
-/// Differences from the classic [`crate::Atms`]:
+/// The §6 labels — fuzzy values tagged with the environment and degree
+/// of their derivation — live in the propagation engine's value columns
+/// (`flames-core`), which derives them, classifies their coincidences
+/// and reports every conflict here through [`FuzzyAtms::add_nogood`].
+/// This store keeps the conflicts and answers the questions a report
+/// asks:
 ///
-/// * justifications carry a certainty degree (*possibilistic clauses*, the
-///   paper's ref \[13\]), so expert rules and fault models "with certainty
-///   degrees" enter the same machinery as hard circuit laws;
-/// * every label environment carries the degree of its derivation
-///   (combined with the configured [`TNorm`]); labels are kept
-///   *Pareto-minimal*: an environment survives unless a subset environment
-///   derives the node at least as strongly;
-/// * nogoods are graded. A **total** conflict (degree ≥ the kill
-///   threshold, default 1) erases matching environments like a classic
-///   nogood; a **partial** conflict only depresses their
-///   [plausibility](FuzzyAtms::plausibility) — "the possibility to give the
-///   user a list of nogoods sorted according to their consistency degrees
-///   … allows to restrict the effect of explosion".
+/// * the store is *Pareto-minimal*: a nogood is dropped if a subset
+///   nogood at least as strong is already present, and installing one
+///   drops every stored nogood it dominates — so the final store depends
+///   on the set of conflicts, not on their arrival order;
+/// * nogoods are graded. A partial conflict (degree < 1) does not erase
+///   an environment, it depresses its [plausibility](FuzzyAtms::plausibility)
+///   — "the possibility to give the user a list of nogoods sorted
+///   according to their consistency degrees … allows to restrict the
+///   effect of explosion";
+/// * candidates are the minimal hitting sets of the conflicts, ranked by
+///   the suspicion degrees the conflicts induce
+///   ([`FuzzyAtms::ranked_diagnoses`]).
 ///
-/// Internally environments are hash-consed through an [`EnvTable`]: labels
-/// are flat `(EnvId, degree)` pairs, subset tests run through the cached
-/// length/signature subsumption index, and nogood installation prunes
-/// labels against the *new* nogood only (labels are invariantly consistent
-/// with every older one).
+/// Nogood environments are hash-consed through an [`EnvTable`], so
+/// subsumption tests run through the cached length/signature index.
 ///
 /// # Example
 ///
@@ -135,9 +96,9 @@ struct FuzzyNode {
 /// use flames_atms::{Env, FuzzyAtms};
 ///
 /// let mut atms = FuzzyAtms::new();
-/// let d1 = atms.add_assumption("d1");
-/// let r1 = atms.add_assumption("r1");
-/// let r2 = atms.add_assumption("r2");
+/// let d1 = atms.add_assumption();
+/// let r1 = atms.add_assumption();
+/// let r2 = atms.add_assumption();
 /// atms.add_nogood(Env::from_assumptions([r1, d1]), 0.5);
 /// atms.add_nogood(Env::from_assumptions([r2, d1]), 1.0);
 /// let diags = atms.ranked_diagnoses(usize::MAX, 100);
@@ -150,20 +111,13 @@ struct FuzzyNode {
 /// ```
 #[derive(Debug)]
 pub struct FuzzyAtms {
-    nodes: Vec<FuzzyNode>,
-    justifications: Vec<FuzzyJustification>,
+    /// Number of assumptions handed out by [`FuzzyAtms::add_assumption`].
+    assumptions: u32,
     /// Pareto-minimal nogood store, materialized for [`FuzzyAtms::nogoods`].
     nogoods: Vec<Nogood>,
     /// Interned ids parallel to `nogoods` (the subsumption index handles).
     nogood_ids: Vec<EnvId>,
-    /// Cached word signatures parallel to `nogood_ids` — the contiguous
-    /// column the wide kill scan streams, 4 signatures per step, instead
-    /// of pointer-chasing each id's [`EnvTable`] metadata.
-    nogood_sigs: Vec<u64>,
     envs: EnvTable,
-    assumption_nodes: Vec<NodeRef>,
-    tnorm: TNorm,
-    kill_threshold: f64,
     /// Append-only log of the non-subsumed nogood installs, replayed
     /// lazily into the incremental candidate sets. Replaying the raw
     /// stream yields the same minimal hitting sets as the Pareto store:
@@ -193,15 +147,10 @@ struct CachedCandidates {
 impl Clone for FuzzyAtms {
     fn clone(&self) -> Self {
         Self {
-            nodes: self.nodes.clone(),
-            justifications: self.justifications.clone(),
+            assumptions: self.assumptions,
             nogoods: self.nogoods.clone(),
             nogood_ids: self.nogood_ids.clone(),
-            nogood_sigs: self.nogood_sigs.clone(),
             envs: self.envs.clone(),
-            assumption_nodes: self.assumption_nodes.clone(),
-            tnorm: self.tnorm,
-            kill_threshold: self.kill_threshold,
             install_log: self.install_log.clone(),
             epoch: self.epoch,
             // Warm candidate sets travel with the clone (snapshot/restore
@@ -218,227 +167,31 @@ impl Default for FuzzyAtms {
 }
 
 impl FuzzyAtms {
-    /// Creates an empty fuzzy ATMS with the `Min` t-norm and a kill
-    /// threshold of 1 (only total conflicts erase environments).
+    /// Creates an empty store.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            nodes: Vec::new(),
-            justifications: Vec::new(),
+            assumptions: 0,
             nogoods: Vec::new(),
             nogood_ids: Vec::new(),
-            nogood_sigs: Vec::new(),
             envs: EnvTable::new(),
-            assumption_nodes: Vec::new(),
-            tnorm: TNorm::Min,
-            kill_threshold: 1.0,
             install_log: Vec::new(),
             epoch: 0,
             cand_cache: Mutex::new(Vec::new()),
         }
     }
 
-    /// Selects the t-norm combining degrees along derivations.
-    #[must_use]
-    pub fn with_tnorm(mut self, tnorm: TNorm) -> Self {
-        self.tnorm = tnorm;
-        self
-    }
-
-    /// Sets the conflict degree at (or above) which a nogood erases
-    /// matching environments instead of merely grading them. Clamped to
-    /// `(0, 1]`. Lowering it trades completeness for explosion control —
-    /// the E6 experiment's knob.
-    #[must_use]
-    pub fn with_kill_threshold(mut self, threshold: f64) -> Self {
-        self.kill_threshold = threshold.clamp(f64::MIN_POSITIVE, 1.0);
-        // Restore the invariant that every label environment is consistent
-        // with every nogood at or above the (possibly lowered) threshold.
-        let kill = self.kill_threshold;
-        let envs = &self.envs;
-        let strong: Vec<EnvId> = self
-            .nogood_ids
-            .iter()
-            .zip(&self.nogoods)
-            .filter(|(_, n)| n.degree >= kill)
-            .map(|(&id, _)| id)
-            .collect();
-        if !strong.is_empty() {
-            for node in &mut self.nodes {
-                node.label
-                    .retain(|&(eid, _)| !strong.iter().any(|&ng| envs.is_subset(ng, eid)));
-            }
-        }
-        self
-    }
-
-    /// The configured t-norm.
-    #[must_use]
-    pub fn tnorm(&self) -> TNorm {
-        self.tnorm
-    }
-
-    /// The configured kill threshold.
-    #[must_use]
-    pub fn kill_threshold(&self) -> f64 {
-        self.kill_threshold
-    }
-
-    /// Adds an ordinary node.
-    pub fn add_node(&mut self, name: impl Into<String>) -> NodeRef {
-        self.push_node(name.into(), Vec::new(), false)
-    }
-
-    /// Adds a premise node (true everywhere with degree 1).
-    pub fn add_premise(&mut self, name: impl Into<String>) -> NodeRef {
-        let empty = self.envs.intern_owned(Env::empty());
-        let id = self.push_node(name.into(), vec![(empty, 1.0)], false);
-        self.nodes[id.index()].is_premise = true;
-        id
-    }
-
-    /// Adds a contradiction node; environments derived for it become
-    /// graded nogoods (degree = derivation degree).
-    pub fn add_contradiction(&mut self, name: impl Into<String>) -> NodeRef {
-        let id = self.push_node(name.into(), Vec::new(), false);
-        self.nodes[id.index()].is_contradiction = true;
-        id
-    }
-
-    /// Creates a fresh assumption with its singleton-labelled node.
-    pub fn add_assumption(&mut self, name: impl Into<String>) -> Assumption {
-        let a = Assumption(u32::try_from(self.assumption_nodes.len()).expect("< 2^32"));
-        let singleton = self.envs.intern_owned(Env::singleton(a));
-        let node = self.push_node(name.into(), vec![(singleton, 1.0)], false);
-        self.assumption_nodes.push(node);
+    /// Hands out the next assumption id (ids are dense, starting at 0, so
+    /// they line up with an [`crate::AssumptionPool`] filled in the same
+    /// order — the pool is what names them).
+    pub fn add_assumption(&mut self) -> Assumption {
+        let a = Assumption(self.assumptions);
+        self.assumptions = self.assumptions.checked_add(1).expect("< 2^32");
         a
     }
 
-    /// The node asserting an assumption.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assumption does not belong to this engine.
-    #[must_use]
-    pub fn assumption_node(&self, a: Assumption) -> NodeRef {
-        self.assumption_nodes[a.index()]
-    }
-
-    /// Records a certain Horn justification (degree 1).
-    ///
-    /// # Errors
-    ///
-    /// See [`FuzzyAtms::justify_weighted`].
-    pub fn justify(
-        &mut self,
-        antecedents: impl IntoIterator<Item = NodeRef>,
-        consequent: NodeRef,
-        informant: impl Into<String>,
-    ) -> Result<()> {
-        self.justify_weighted(antecedents, consequent, 1.0, informant)
-    }
-
-    /// Records a *possibilistic clause* `antecedents ⇒ consequent` with a
-    /// certainty `degree` in `(0, 1]` — the mechanism by which "the expert
-    /// adds rules of faulty estimations or builds component's fault models
-    /// with certainty degrees" (§6.1.3).
-    ///
-    /// # Errors
-    ///
-    /// * [`AtmsError::InvalidDegree`] for a degree outside `(0, 1]`;
-    /// * [`AtmsError::UnknownNode`] for a foreign node;
-    /// * [`AtmsError::SelfJustification`] if the consequent is among the
-    ///   antecedents.
-    pub fn justify_weighted(
-        &mut self,
-        antecedents: impl IntoIterator<Item = NodeRef>,
-        consequent: NodeRef,
-        degree: f64,
-        informant: impl Into<String>,
-    ) -> Result<()> {
-        if !(degree > 0.0 && degree <= 1.0) {
-            return Err(AtmsError::invalid_degree(degree));
-        }
-        let antecedents: Vec<NodeRef> = antecedents.into_iter().collect();
-        self.check_node(consequent)?;
-        for &a in &antecedents {
-            self.check_node(a)?;
-            if a == consequent {
-                return Err(AtmsError::SelfJustification {
-                    index: consequent.index(),
-                });
-            }
-        }
-        let jid = u32::try_from(self.justifications.len()).expect("< 2^32");
-        for &a in &antecedents {
-            self.nodes[a.index()].consumers.push(jid);
-        }
-        self.justifications.push(FuzzyJustification {
-            antecedents,
-            consequent,
-            degree,
-            informant: informant.into(),
-        });
-        self.propagate_from(jid);
-        Ok(())
-    }
-
-    /// The Pareto-minimal weighted label of a node, materialized from the
-    /// interned store (sorted by cardinality, then decreasing degree, then
-    /// lexicographically).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AtmsError::UnknownNode`] for a foreign node id.
-    pub fn label(&self, node: NodeRef) -> Result<Vec<WeightedEnv>> {
-        self.check_node(node)?;
-        Ok(self.nodes[node.index()]
-            .label
-            .iter()
-            .map(|&(id, degree)| WeightedEnv {
-                env: self.envs.env(id).clone(),
-                degree,
-            })
-            .collect())
-    }
-
-    /// The name a node was created with.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AtmsError::UnknownNode`] for a foreign node id.
-    pub fn node_name(&self, node: NodeRef) -> Result<&str> {
-        self.check_node(node)?;
-        Ok(&self.nodes[node.index()].name)
-    }
-
-    /// The informants of the justifications recorded so far, in insertion
-    /// order (provenance for reports).
-    pub fn informants(&self) -> impl Iterator<Item = &str> {
-        self.justifications.iter().map(|j| j.informant.as_str())
-    }
-
-    /// The degree to which `node` holds under `env`: the best derivation
-    /// degree among label environments contained in `env`, graded down by
-    /// the plausibility of `env` itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AtmsError::UnknownNode`] for a foreign node id.
-    pub fn holds_degree(&self, node: NodeRef, env: &Env) -> Result<f64> {
-        self.check_node(node)?;
-        let sig = env.signature();
-        let best = self.nodes[node.index()]
-            .label
-            .iter()
-            .filter(|&&(id, _)| self.envs.is_subset_of_raw(id, env, sig))
-            .map(|&(_, degree)| degree)
-            .fold(0.0, f64::max);
-        Ok(self.tnorm.combine(best, self.plausibility(env)))
-    }
-
-    /// Installs a graded nogood directly (the coincidence engine's entry
-    /// point: `degree = 1 − Dc`).
+    /// Installs a graded nogood (the coincidence engine's entry point:
+    /// `degree = 1 − Dc`).
     ///
     /// Degrees ≤ 0 are ignored (no conflict); degrees are clamped to 1.
     pub fn add_nogood(&mut self, env: Env, degree: f64) {
@@ -526,19 +279,7 @@ impl FuzzyAtms {
             entry.set.install(&self.install_log[entry.cursor]);
             entry.cursor += 1;
         }
-        let mut out: Vec<RankedDiagnosis> = entry
-            .set
-            .sets()
-            .iter()
-            .filter(|env| !env.is_empty())
-            .map(|env| {
-                let degree = env.iter().map(|a| self.suspicion(a)).fold(1.0, f64::min);
-                RankedDiagnosis {
-                    env: env.clone(),
-                    degree,
-                }
-            })
-            .collect();
+        let mut out = self.graded(entry.set.sets().iter().cloned());
         drop(cache);
         Self::rank(&mut out);
         out.truncate(max_count);
@@ -561,16 +302,20 @@ impl FuzzyAtms {
         flames_obs::metrics().candidates_rebuilt.incr();
         let sets =
             minimal_hitting_sets_iter(self.nogoods.iter().map(|n| &n.env), max_size, max_count);
-        let mut out: Vec<RankedDiagnosis> = sets
-            .into_iter()
-            .filter(|env| !env.is_empty())
+        let mut out = self.graded(sets.into_iter());
+        Self::rank(&mut out);
+        out
+    }
+
+    /// Attaches the weakest-member suspicion to every non-empty hitting
+    /// set.
+    fn graded(&self, sets: impl Iterator<Item = Env>) -> Vec<RankedDiagnosis> {
+        sets.filter(|env| !env.is_empty())
             .map(|env| {
                 let degree = env.iter().map(|a| self.suspicion(a)).fold(1.0, f64::min);
                 RankedDiagnosis { env, degree }
             })
-            .collect();
-        Self::rank(&mut out);
-        out
+            .collect()
     }
 
     /// The shared candidate ordering: decreasing degree, then size, then
@@ -596,52 +341,24 @@ impl FuzzyAtms {
         self.epoch
     }
 
-    /// Clears the per-board state — justifications, nogoods, and every
-    /// derived label — while retaining the per-model vocabulary: the
-    /// nodes themselves (every [`NodeRef`] and [`Assumption`] stays
-    /// valid), the hash-consed [`EnvTable`], and the configured t-norm
-    /// and kill threshold. Assumption nodes get their singleton labels
-    /// back and premise nodes their empty-environment label, exactly as
-    /// freshly created; everything happens in place, so a long-lived
-    /// engine serves board after board with no allocation churn.
+    /// Clears the per-board state — nogoods, the install log and the
+    /// candidate caches — while retaining the per-model vocabulary: every
+    /// [`Assumption`] handed out stays valid and the hash-consed
+    /// [`EnvTable`] keeps its entries, so a long-lived engine serves
+    /// board after board with no allocation churn.
     ///
     /// This is the serve-many half of the compile-once/serve-many split:
     /// the assumption vocabulary is a per-model constant, the graded
-    /// labels and nogoods are per-board state.
+    /// nogoods are per-board state.
     pub fn reset(&mut self) {
-        self.justifications.clear();
         self.nogoods.clear();
         self.nogood_ids.clear();
-        self.nogood_sigs.clear();
         self.install_log.clear();
         self.epoch = 0;
         self.cand_cache
             .get_mut()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clear();
-        for node in &mut self.nodes {
-            node.label.clear();
-            node.consumers.clear();
-        }
-        for i in 0..self.assumption_nodes.len() {
-            let a = Assumption(u32::try_from(i).expect("< 2^32"));
-            let singleton = self.envs.intern_owned(Env::singleton(a));
-            let node = self.assumption_nodes[i];
-            self.nodes[node.index()].label.push((singleton, 1.0));
-        }
-        let empty = self.envs.intern_owned(Env::empty());
-        for node in &mut self.nodes {
-            if node.is_premise {
-                node.label.push((empty, 1.0));
-            }
-        }
-    }
-
-    /// Number of assumptions created so far (the vocabulary size
-    /// [`FuzzyAtms::reset`] preserves).
-    #[must_use]
-    pub fn assumption_count(&self) -> usize {
-        self.assumption_nodes.len()
     }
 
     // ----- internals -------------------------------------------------
@@ -655,246 +372,7 @@ impl FuzzyAtms {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn check_node(&self, id: NodeRef) -> Result<()> {
-        if id.index() < self.nodes.len() {
-            Ok(())
-        } else {
-            Err(AtmsError::UnknownNode { index: id.index() })
-        }
-    }
-
-    fn push_node(
-        &mut self,
-        name: String,
-        label: Vec<(EnvId, f64)>,
-        is_contradiction: bool,
-    ) -> NodeRef {
-        let id = NodeRef(u32::try_from(self.nodes.len()).expect("< 2^32 nodes"));
-        self.nodes.push(FuzzyNode {
-            label,
-            consumers: Vec::new(),
-            is_contradiction,
-            is_premise: false,
-            name,
-        });
-        id
-    }
-
-    /// True when an environment is erased outright by a strong nogood.
-    /// Under the wide dispatch the signature column is streamed four
-    /// entries per step — one incoming signature AND-NOT-tested against
-    /// four stored ones — and only passing lanes touch degrees and run
-    /// the exact bitset subset test.
-    fn is_killed(&self, env: &Env, sig: u64) -> bool {
-        if flames_obs::wide_enabled() {
-            let kill = self.kill_threshold;
-            let mut g = 0usize;
-            while g + 4 <= self.nogood_sigs.len() {
-                let s: &[u64; 4] = self.nogood_sigs[g..g + 4]
-                    .try_into()
-                    .expect("4-lane window");
-                let m = [s[0] & !sig, s[1] & !sig, s[2] & !sig, s[3] & !sig];
-                if m[0] != 0 && m[1] != 0 && m[2] != 0 && m[3] != 0 {
-                    g += 4;
-                    continue;
-                }
-                for (l, &miss) in m.iter().enumerate() {
-                    if miss == 0 {
-                        let n = &self.nogoods[g + l];
-                        if n.degree >= kill && n.env.is_subset_of(env) {
-                            return true;
-                        }
-                    }
-                }
-                g += 4;
-            }
-            self.nogood_ids[g..]
-                .iter()
-                .zip(&self.nogoods[g..])
-                .any(|(&id, n)| n.degree >= kill && self.envs.is_subset_of_raw(id, env, sig))
-        } else {
-            self.nogood_ids.iter().zip(&self.nogoods).any(|(&id, n)| {
-                n.degree >= self.kill_threshold && self.envs.is_subset_of_raw(id, env, sig)
-            })
-        }
-    }
-
-    fn propagate_from(&mut self, start: u32) {
-        let mut queue = DirtyQueue::new();
-        queue.push(start);
-        while let Some(jid) = queue.pop() {
-            let (antecedents, consequent, jdegree) = {
-                let j = &self.justifications[jid as usize];
-                (j.antecedents.clone(), j.consequent, j.degree)
-            };
-            let mut candidates: Vec<(Env, f64)> = vec![(Env::empty(), jdegree)];
-            let mut dead = false;
-            for &a in &antecedents {
-                let label = &self.nodes[a.index()].label;
-                if label.is_empty() {
-                    dead = true;
-                    break;
-                }
-                let mut next = Vec::with_capacity(candidates.len() * label.len());
-                for (cenv, cdeg) in &candidates {
-                    for &(eid, edeg) in label {
-                        next.push((
-                            cenv.union(self.envs.env(eid)),
-                            self.tnorm.combine(*cdeg, edeg),
-                        ));
-                    }
-                }
-                candidates = pareto_minimize_raw(next);
-            }
-            if dead {
-                continue;
-            }
-            candidates.retain(|(env, _)| !self.is_killed(env, env.signature()));
-            if candidates.is_empty() {
-                continue;
-            }
-            if self.nodes[consequent.index()].is_contradiction {
-                for (env, degree) in candidates {
-                    self.install_nogood(env, degree);
-                }
-                continue;
-            }
-            if self.merge_label(consequent, candidates) {
-                for &c in &self.nodes[consequent.index()].consumers {
-                    queue.push(c);
-                }
-            }
-        }
-    }
-
-    /// Incrementally merges Pareto-minimal candidates into a node's label.
-    ///
-    /// Each candidate is interned once, then checked against the existing
-    /// pairs through the subsumption index — no snapshot of the previous
-    /// label is taken, and untouched entries are never re-minimized.
-    fn merge_label(&mut self, node: NodeRef, candidates: Vec<(Env, f64)>) -> bool {
-        flames_obs::metrics().label_merges.incr();
-        let wide = flames_obs::wide_enabled();
-        let mut changed = false;
-        // Subset-test accounting is accumulated across the whole merge and
-        // flushed once — per-test atomics here cost the kernel ~30%.
-        let mut stats = SubsetStats::default();
-        // Keep mask scratch for the wide retain pass, reused across
-        // candidates.
-        let mut keep: Vec<bool> = Vec::new();
-        for (env, degree) in candidates {
-            let id = self.envs.intern_owned(env);
-            let inc_sig = self.envs.sig(id);
-            let envs = &self.envs;
-            let label = &mut self.nodes[node.index()].label;
-            // Domination scan. Wide: the candidate's signature is
-            // AND-NOT-tested against four stored signatures per step
-            // (`ksig ⊆ inc_sig` is necessary for `kenv ⊆ env`); lanes the
-            // word test rejects are charged to the accounting exactly as
-            // the scalar prefilter would have, lanes it passes run the
-            // exact test, in label order with the scalar early exit.
-            let mut dominated = false;
-            let mut g = 0usize;
-            if wide {
-                'scan: while g + 4 <= label.len() {
-                    let w: &[(EnvId, f64); 4] = label[g..g + 4].try_into().expect("4-lane window");
-                    let pass = [
-                        envs.sig(w[0].0) & !inc_sig == 0,
-                        envs.sig(w[1].0) & !inc_sig == 0,
-                        envs.sig(w[2].0) & !inc_sig == 0,
-                        envs.sig(w[3].0) & !inc_sig == 0,
-                    ];
-                    for l in 0..4 {
-                        let (kid, kdeg) = w[l];
-                        if kdeg < degree {
-                            continue;
-                        }
-                        if !pass[l] {
-                            // A signature reject implies kid ≠ id, so the
-                            // scalar path would have counted one
-                            // prefilter-rejected check here.
-                            stats.checks += 1;
-                            stats.prefilter_rejects += 1;
-                            continue;
-                        }
-                        if envs.is_subset_counted(kid, id, &mut stats) {
-                            dominated = true;
-                            break 'scan;
-                        }
-                    }
-                    g += 4;
-                }
-            }
-            if !dominated {
-                dominated = label[g..].iter().any(|&(kid, kdeg)| {
-                    kdeg >= degree && envs.is_subset_counted(kid, id, &mut stats)
-                });
-            }
-            if dominated {
-                continue;
-            }
-            // Retain pass, reversed direction (`inc ⊆ kenv` needs
-            // `inc_sig ⊆ ksig`): the keep mask is computed four
-            // signatures per step, then applied in order.
-            if wide && label.len() >= 4 {
-                keep.clear();
-                let mut g = 0usize;
-                while g + 4 <= label.len() {
-                    let w: &[(EnvId, f64); 4] = label[g..g + 4].try_into().expect("4-lane window");
-                    let pass = [
-                        inc_sig & !envs.sig(w[0].0) == 0,
-                        inc_sig & !envs.sig(w[1].0) == 0,
-                        inc_sig & !envs.sig(w[2].0) == 0,
-                        inc_sig & !envs.sig(w[3].0) == 0,
-                    ];
-                    for l in 0..4 {
-                        let (kid, kdeg) = w[l];
-                        let drop = if degree < kdeg {
-                            false
-                        } else if pass[l] {
-                            envs.is_subset_counted(id, kid, &mut stats)
-                        } else {
-                            stats.checks += 1;
-                            stats.prefilter_rejects += 1;
-                            false
-                        };
-                        keep.push(!drop);
-                    }
-                    g += 4;
-                }
-                for &(kid, kdeg) in &label[g..] {
-                    keep.push(!(degree >= kdeg && envs.is_subset_counted(id, kid, &mut stats)));
-                }
-                let mut mask = keep.iter();
-                label.retain(|_| *mask.next().expect("mask covers the label"));
-            } else {
-                label.retain(|&(kid, kdeg)| {
-                    !(degree >= kdeg && envs.is_subset_counted(id, kid, &mut stats))
-                });
-            }
-            label.push((id, degree));
-            changed = true;
-        }
-        stats.flush();
-        if changed {
-            flames_obs::metrics().label_updates.incr();
-            let envs = &self.envs;
-            self.nodes[node.index()]
-                .label
-                .sort_by(|&(a, da), &(b, db)| {
-                    envs.card(a)
-                        .cmp(&envs.card(b))
-                        .then_with(|| db.partial_cmp(&da).expect("finite"))
-                        .then_with(|| envs.env(a).cmp(envs.env(b)))
-                });
-        }
-        changed
-    }
-
-    /// Installs a graded nogood, keeping the store Pareto-minimal and
-    /// pruning labels **against the new nogood only** — every label
-    /// environment is already consistent with the older nogoods, so the
-    /// classic full rescan over `nodes × labels × nogoods` is unnecessary.
+    /// Installs a graded nogood, keeping the store Pareto-minimal.
     fn install_nogood(&mut self, env: Env, degree: f64) {
         let ngid = self.envs.intern_owned(env);
         // Subset-test accounting is accumulated across the whole install
@@ -925,95 +403,18 @@ impl FuzzyAtms {
             if !dominated {
                 self.nogoods.swap(w, r);
                 self.nogood_ids.swap(w, r);
-                self.nogood_sigs.swap(w, r);
                 w += 1;
             }
         }
         self.nogoods.truncate(w);
         self.nogood_ids.truncate(w);
-        self.nogood_sigs.truncate(w);
         self.nogoods.push(Nogood {
             env: self.envs.env(ngid).clone(),
             degree,
         });
         self.nogood_ids.push(ngid);
-        self.nogood_sigs.push(self.envs.sig(ngid));
-        // A strong nogood erases the label environments it is contained in.
-        if degree >= self.kill_threshold {
-            let envs = &self.envs;
-            for node in &mut self.nodes {
-                node.label
-                    .retain(|&(eid, _)| !envs.is_subset_counted(ngid, eid, &mut stats));
-            }
-        }
         stats.flush();
     }
-}
-
-/// Pareto minimization of weighted environments: keep `(E, d)` unless some
-/// other `(E′, d′)` has `E′ ⊆ E` and `d′ ≥ d`. Subset tests are prefiltered
-/// by the cached word signatures of the kept front.
-fn pareto_minimize_raw(mut envs: Vec<(Env, f64)>) -> Vec<(Env, f64)> {
-    envs.sort_by(|a, b| {
-        a.0.len()
-            .cmp(&b.0.len())
-            .then_with(|| b.1.partial_cmp(&a.1).expect("finite"))
-    });
-    let mut keep: Vec<(Env, f64)> = Vec::with_capacity(envs.len());
-    let mut keep_sigs: Vec<u64> = Vec::with_capacity(envs.len());
-    let wide = flames_obs::wide_enabled();
-    for (env, degree) in envs {
-        let sig = env.signature();
-        let mut dominated = false;
-        let mut g = 0usize;
-        if wide {
-            // The kept front's signature column is contiguous: AND-NOT
-            // four stored signatures against the incoming one per step,
-            // and skip whole groups no lane of which can dominate.
-            'scan: while g + 4 <= keep_sigs.len() {
-                let s: &[u64; 4] = keep_sigs[g..g + 4].try_into().expect("4-lane window");
-                let m = [s[0] & !sig, s[1] & !sig, s[2] & !sig, s[3] & !sig];
-                if m[0] != 0 && m[1] != 0 && m[2] != 0 && m[3] != 0 {
-                    g += 4;
-                    continue;
-                }
-                for l in 0..4 {
-                    if m[l] == 0 {
-                        let (kenv, kdeg) = &keep[g + l];
-                        if *kdeg >= degree && kenv.is_subset_of(&env) {
-                            dominated = true;
-                            break 'scan;
-                        }
-                    }
-                }
-                g += 4;
-            }
-        }
-        if !dominated {
-            dominated = keep[g..]
-                .iter()
-                .zip(&keep_sigs[g..])
-                .any(|((kenv, kdeg), &ksig)| {
-                    *kdeg >= degree && ksig & !sig == 0 && kenv.is_subset_of(&env)
-                });
-        }
-        if !dominated {
-            keep.push((env, degree));
-            keep_sigs.push(sig);
-        }
-    }
-    keep
-}
-
-/// Pareto minimization of [`WeightedEnv`]s (kept for tests and callers
-/// working with materialized labels; same dominance rule as the kernel's
-/// interned path).
-#[cfg(test)]
-fn pareto_minimize(envs: Vec<WeightedEnv>) -> Vec<WeightedEnv> {
-    pareto_minimize_raw(envs.into_iter().map(|we| (we.env, we.degree)).collect())
-        .into_iter()
-        .map(|(env, degree)| WeightedEnv { env, degree })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1028,118 +429,35 @@ mod tests {
     }
 
     #[test]
-    fn weighted_derivation_uses_tnorm() {
+    fn assumptions_are_dense() {
         let mut atms = FuzzyAtms::new();
-        let a = atms.add_assumption("a");
-        let na = atms.assumption_node(a);
-        let mid = atms.add_node("mid");
-        let out = atms.add_node("out");
-        atms.justify_weighted([na], mid, 0.8, "soft rule").unwrap();
-        atms.justify_weighted([mid], out, 0.6, "softer rule")
-            .unwrap();
-        let label = atms.label(out).unwrap();
-        assert_eq!(label.len(), 1);
-        assert_eq!(label[0].env, Env::singleton(a));
-        assert!((label[0].degree - 0.6).abs() < 1e-12); // min(0.8, 0.6)
+        assert_eq!(atms.add_assumption(), Assumption(0));
+        assert_eq!(atms.add_assumption(), Assumption(1));
+        atms.reset();
+        assert_eq!(atms.add_assumption(), Assumption(2), "reset keeps ids");
     }
 
     #[test]
-    fn product_tnorm_compounds() {
-        let mut atms = FuzzyAtms::new().with_tnorm(TNorm::Product);
-        let a = atms.add_assumption("a");
-        let na = atms.assumption_node(a);
-        let mid = atms.add_node("mid");
-        let out = atms.add_node("out");
-        atms.justify_weighted([na], mid, 0.8, "r1").unwrap();
-        atms.justify_weighted([mid], out, 0.5, "r2").unwrap();
-        let label = atms.label(out).unwrap();
-        assert!((label[0].degree - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stronger_rederivation_upgrades_label() {
+    fn partial_and_total_conflicts_grade_plausibility() {
         let mut atms = FuzzyAtms::new();
-        let a = atms.add_assumption("a");
-        let na = atms.assumption_node(a);
-        let g = atms.add_node("g");
-        atms.justify_weighted([na], g, 0.5, "weak").unwrap();
-        assert!((atms.label(g).unwrap()[0].degree - 0.5).abs() < 1e-12);
-        atms.justify_weighted([na], g, 0.9, "strong").unwrap();
-        let label = atms.label(g).unwrap();
-        assert_eq!(label.len(), 1);
-        assert!((label[0].degree - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pareto_label_keeps_weaker_smaller_env() {
-        let mut atms = FuzzyAtms::new();
-        let a = atms.add_assumption("a");
-        let b = atms.add_assumption("b");
-        let (na, nb) = (atms.assumption_node(a), atms.assumption_node(b));
-        let g = atms.add_node("g");
-        // {a} proves g weakly; {a, b} proves it strongly — both are
-        // Pareto-optimal and must both survive.
-        atms.justify_weighted([na], g, 0.5, "weak single").unwrap();
-        atms.justify_weighted([na, nb], g, 1.0, "strong pair")
-            .unwrap();
-        let label = atms.label(g).unwrap();
-        assert_eq!(label.len(), 2);
-        // But {a}@0.5 + {a,b}@0.4 keeps only {a}@0.5.
-        let mut atms2 = FuzzyAtms::new();
-        let a2 = atms2.add_assumption("a");
-        let b2 = atms2.add_assumption("b");
-        let (na2, nb2) = (atms2.assumption_node(a2), atms2.assumption_node(b2));
-        let g2 = atms2.add_node("g");
-        atms2
-            .justify_weighted([na2], g2, 0.5, "weak single")
-            .unwrap();
-        atms2
-            .justify_weighted([na2, nb2], g2, 0.4, "weaker pair")
-            .unwrap();
-        assert_eq!(atms2.label(g2).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn rejects_bad_degrees_and_nodes() {
-        let mut atms = FuzzyAtms::new();
-        let g = atms.add_node("g");
-        let a = atms.add_assumption("a");
-        let na = atms.assumption_node(a);
-        assert!(matches!(
-            atms.justify_weighted([na], g, 0.0, "zero"),
-            Err(AtmsError::InvalidDegree { .. })
-        ));
-        assert!(atms.justify_weighted([na], g, 1.5, "big").is_err());
-        assert!(atms.justify([NodeRef(99)], g, "foreign").is_err());
-        assert!(atms.justify([g], g, "self").is_err());
-        assert!(atms.label(NodeRef(99)).is_err());
-    }
-
-    #[test]
-    fn total_conflict_erases_partial_conflict_grades() {
-        let mut atms = FuzzyAtms::new();
-        let a = atms.add_assumption("a");
-        let b = atms.add_assumption("b");
-        let (na, nb) = (atms.assumption_node(a), atms.assumption_node(b));
-        let g = atms.add_node("g");
-        atms.justify([na, nb], g, "and").unwrap();
-        // Partial conflict on {a}: label survives, plausibility drops.
-        atms.add_nogood(Env::singleton(a), 0.4);
-        assert_eq!(atms.label(g).unwrap().len(), 1);
+        let a = atms.add_assumption();
+        let b = atms.add_assumption();
         let env_ab = Env::from_assumptions([a, b]);
+        assert_eq!(atms.plausibility(&env_ab), 1.0);
+        // Partial conflict on {a}: {a, b} stays plausible to 0.6.
+        atms.add_nogood(Env::singleton(a), 0.4);
         assert!((atms.plausibility(&env_ab) - 0.6).abs() < 1e-12);
-        assert!((atms.holds_degree(g, &env_ab).unwrap() - 0.6).abs() < 1e-12);
-        // Total conflict: label is erased.
+        assert_eq!(atms.plausibility(&Env::singleton(b)), 1.0);
+        // Total conflict: implausible.
         atms.add_nogood(Env::singleton(a), 1.0);
-        assert!(atms.label(g).unwrap().is_empty());
         assert_eq!(atms.plausibility(&env_ab), 0.0);
     }
 
     #[test]
     fn nogood_store_is_pareto_minimal() {
         let mut atms = FuzzyAtms::new();
-        let a = atms.add_assumption("a");
-        let b = atms.add_assumption("b");
+        let a = atms.add_assumption();
+        let b = atms.add_assumption();
         let ab = Env::from_assumptions([a, b]);
         atms.add_nogood(ab.clone(), 0.5);
         // Weaker superset information is subsumed.
@@ -1153,17 +471,32 @@ mod tests {
         // But a *weaker* subset coexists with a stronger superset.
         atms.add_nogood(ab, 1.0);
         assert_eq!(atms.nogoods().len(), 2);
-        // Zero-degree nogoods are ignored.
+        // Zero-degree nogoods are ignored, degrees above 1 clamp.
         atms.add_nogood(Env::singleton(b), 0.0);
         assert_eq!(atms.nogoods().len(), 2);
+        atms.add_nogood(Env::singleton(b), 7.0);
+        assert_eq!(atms.suspicion(b), 1.0);
+    }
+
+    #[test]
+    fn subsumed_installs_leave_the_epoch_alone() {
+        let mut atms = FuzzyAtms::new();
+        atms.add_nogood(Env::from_ids([1, 2]), 0.5);
+        assert_eq!(atms.nogood_epoch(), 1);
+        atms.add_nogood(Env::from_ids([1, 2]), 0.5);
+        atms.add_nogood(Env::from_ids([1, 2, 3]), 0.4);
+        assert_eq!(atms.nogood_epoch(), 1);
+        atms.add_nogood(Env::from_ids([1, 2]), 0.9);
+        assert_eq!(atms.nogood_epoch(), 2);
+        assert_eq!(atms.nogoods().len(), 1);
     }
 
     #[test]
     fn fig5_ranked_diagnoses() {
         let mut atms = FuzzyAtms::new();
-        let d1 = atms.add_assumption("d1");
-        let r1 = atms.add_assumption("r1");
-        let r2 = atms.add_assumption("r2");
+        let d1 = atms.add_assumption();
+        let r1 = atms.add_assumption();
+        let r2 = atms.add_assumption();
         atms.add_nogood(Env::from_assumptions([r1, d1]), 0.5);
         atms.add_nogood(Env::from_assumptions([r2, d1]), 1.0);
 
@@ -1181,228 +514,36 @@ mod tests {
         assert_eq!(diags[0].degree, 1.0);
         assert_eq!(diags[1].env, Env::from_assumptions([r1, r2]));
         assert_eq!(diags[1].degree, 0.5);
+        assert_eq!(diags, atms.ranked_diagnoses_oracle(usize::MAX, 100));
     }
 
     #[test]
-    fn kill_threshold_controls_explosion() {
-        let mut strict = FuzzyAtms::new().with_kill_threshold(0.3);
-        let a = strict.add_assumption("a");
-        let b = strict.add_assumption("b");
-        let (na, nb) = (strict.assumption_node(a), strict.assumption_node(b));
-        let g = strict.add_node("g");
-        strict.justify([na, nb], g, "and").unwrap();
-        // A 0.4-degree conflict now kills (threshold 0.3).
-        strict.add_nogood(Env::from_assumptions([a, b]), 0.4);
-        assert!(strict.label(g).unwrap().is_empty());
-        assert!((strict.kill_threshold() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lowering_threshold_resweeps_labels() {
+    fn reset_restores_the_fresh_store() {
         let mut atms = FuzzyAtms::new();
-        let a = atms.add_assumption("a");
-        let na = atms.assumption_node(a);
-        let g = atms.add_node("g");
-        atms.justify([na], g, "a=>g").unwrap();
-        atms.add_nogood(Env::singleton(a), 0.4);
-        assert_eq!(atms.label(g).unwrap().len(), 1);
-        // Dropping the threshold below the partial conflict kills the label.
-        let atms = atms.with_kill_threshold(0.3);
-        assert!(atms.label(g).unwrap().is_empty());
-    }
-
-    #[test]
-    fn holds_degree_accounts_for_plausibility() {
-        let mut atms = FuzzyAtms::new();
-        let a = atms.add_assumption("a");
-        let na = atms.assumption_node(a);
-        let g = atms.add_node("g");
-        atms.justify_weighted([na], g, 0.9, "rule").unwrap();
-        let env = Env::singleton(a);
-        assert!((atms.holds_degree(g, &env).unwrap() - 0.9).abs() < 1e-12);
-        atms.add_nogood(env.clone(), 0.5);
-        // min(0.9 derivation, 0.5 plausibility).
-        assert!((atms.holds_degree(g, &env).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn premise_and_contradiction_nodes() {
-        let mut atms = FuzzyAtms::new();
-        let p = atms.add_premise("law");
-        let a = atms.add_assumption("a");
-        let na = atms.assumption_node(a);
-        let bottom = atms.add_contradiction("⊥");
-        atms.justify_weighted([p, na], bottom, 0.7, "soft conflict")
-            .unwrap();
-        assert_eq!(atms.nogoods().len(), 1);
-        assert_eq!(atms.nogoods()[0].env, Env::singleton(a));
-        assert!((atms.nogoods()[0].degree - 0.7).abs() < 1e-12);
-        // Soft conflict does not kill the assumption's own label.
-        assert_eq!(atms.label(na).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn informants_are_retained_in_order() {
-        let mut atms = FuzzyAtms::new();
-        let a = atms.add_assumption("a");
-        let na = atms.assumption_node(a);
-        let g = atms.add_node("g");
-        let h = atms.add_node("h");
-        atms.justify_weighted([na], g, 0.9, "first rule").unwrap();
-        atms.justify([g], h, "second rule").unwrap();
-        let informants: Vec<&str> = atms.informants().collect();
-        assert_eq!(informants, vec!["first rule", "second rule"]);
-        assert_eq!(atms.node_name(g).unwrap(), "g");
-    }
-
-    #[test]
-    fn reset_restores_the_fresh_vocabulary_state() {
-        let mut atms = FuzzyAtms::new().with_kill_threshold(0.8);
-        let a = atms.add_assumption("a");
-        let b = atms.add_assumption("b");
-        let (na, nb) = (atms.assumption_node(a), atms.assumption_node(b));
-        let law = atms.add_premise("law");
-        let g = atms.add_node("g");
-        let bottom = atms.add_contradiction("⊥");
-
-        // Reference state: labels/nogoods of a fresh board.
+        let a = atms.add_assumption();
+        let b = atms.add_assumption();
         let run = |atms: &mut FuzzyAtms| {
-            atms.justify_weighted([na, nb, law], g, 0.9, "and").unwrap();
-            atms.justify_weighted([g], bottom, 0.6, "conflict").unwrap();
+            atms.add_nogood(Env::from_assumptions([a, b]), 0.6);
             atms.add_nogood(Env::singleton(b), 0.3);
             (
-                atms.label(g).unwrap(),
                 atms.sorted_nogoods(),
+                atms.ranked_diagnoses(2, 16),
                 atms.plausibility(&Env::from_assumptions([a, b])),
+                atms.nogood_epoch(),
             )
         };
         let first = run(&mut atms);
-
         atms.reset();
-        // Vocabulary survives: same assumptions, singleton labels back,
-        // premise label back, derived labels and nogoods gone.
-        assert_eq!(atms.assumption_count(), 2);
-        assert_eq!(atms.label(na).unwrap().len(), 1);
-        assert_eq!(atms.label(na).unwrap()[0].env, Env::singleton(a));
-        assert_eq!(atms.label(law).unwrap()[0].env, Env::empty());
-        assert!(atms.label(g).unwrap().is_empty());
         assert!(atms.nogoods().is_empty());
-        assert_eq!(atms.informants().count(), 0);
-        assert_eq!(atms.kill_threshold(), 0.8);
-
+        assert_eq!(atms.nogood_epoch(), 0);
+        assert!(atms.ranked_diagnoses(2, 16).is_empty());
         // Replaying the same board reproduces the same state exactly.
-        let second = run(&mut atms);
-        assert_eq!(first, second);
-    }
-
-    #[test]
-    fn reset_is_idempotent_on_a_fresh_engine() {
-        let mut atms = FuzzyAtms::new();
-        let a = atms.add_assumption("a");
-        atms.reset();
-        atms.reset();
-        let na = atms.assumption_node(a);
-        assert_eq!(atms.label(na).unwrap().len(), 1);
-        assert!(atms.nogoods().is_empty());
+        assert_eq!(run(&mut atms), first);
     }
 
     #[test]
     fn diagnoses_empty_when_no_conflicts() {
         let atms = FuzzyAtms::new();
         assert!(atms.ranked_diagnoses(usize::MAX, 10).is_empty());
-    }
-
-    // ----- pareto_minimize algebra (satellite: idempotence/orders) ----
-
-    fn we(ids: &[u32], degree: f64) -> WeightedEnv {
-        WeightedEnv {
-            env: Env::from_ids(ids.iter().copied()),
-            degree,
-        }
-    }
-
-    #[test]
-    fn pareto_minimize_is_idempotent() {
-        let input = vec![
-            we(&[0], 0.5),
-            we(&[0, 1], 1.0),
-            we(&[0, 1], 0.4), // dominated by {0}@0.5 (and {0,1}@1.0)
-            we(&[2], 0.3),
-            we(&[0, 2], 0.3), // dominated by {2}@0.3
-        ];
-        let once = pareto_minimize(input);
-        let twice = pareto_minimize(once.clone());
-        assert_eq!(once, twice);
-        assert_eq!(once.len(), 3);
-    }
-
-    #[test]
-    fn pareto_minimize_is_order_insensitive() {
-        let items = vec![
-            we(&[0], 0.5),
-            we(&[1], 0.9),
-            we(&[0, 1], 0.7),
-            we(&[0, 1, 2], 0.7),
-            we(&[2], 0.2),
-            we(&[0], 0.5), // duplicate
-        ];
-        let forward = pareto_minimize(items.clone());
-        let mut reversed = items.clone();
-        reversed.reverse();
-        let backward = pareto_minimize(reversed);
-        let mut rotated = items;
-        rotated.rotate_left(3);
-        let rotated = pareto_minimize(rotated);
-        assert_eq!(forward, backward);
-        assert_eq!(forward, rotated);
-    }
-
-    #[test]
-    fn incremental_merge_matches_batch_pareto() {
-        // Drive the engine through many merges and check the final label is
-        // exactly the batch Pareto front of all derivations.
-        let mut atms = FuzzyAtms::new();
-        let ids: Vec<Assumption> = (0..6)
-            .map(|i| atms.add_assumption(format!("a{i}")))
-            .collect();
-        let g = atms.add_node("g");
-        let derivations = [
-            (vec![0usize, 1], 0.8),
-            (vec![0], 0.4),
-            (vec![1, 2], 0.9),
-            (vec![0, 1, 2], 1.0),
-            (vec![3], 0.6),
-            (vec![3, 4], 0.5),
-            (vec![5], 1.0),
-        ];
-        for (members, degree) in &derivations {
-            let nodes: Vec<NodeRef> = members
-                .iter()
-                .map(|&i| atms.assumption_node(ids[i]))
-                .collect();
-            atms.justify_weighted(nodes, g, *degree, "derivation")
-                .unwrap();
-        }
-        let batch = pareto_minimize(
-            derivations
-                .iter()
-                .map(|(members, degree)| WeightedEnv {
-                    env: Env::from_assumptions(members.iter().map(|&i| ids[i])),
-                    degree: *degree,
-                })
-                .collect(),
-        );
-        let label = atms.label(g).unwrap();
-        assert_eq!(label.len(), batch.len());
-        for we in &batch {
-            assert!(
-                label
-                    .iter()
-                    .any(|l| l.env == we.env && (l.degree - we.degree).abs() < 1e-12),
-                "missing {}@{}",
-                we.env,
-                we.degree
-            );
-        }
     }
 }

@@ -7,12 +7,15 @@
 //!   *labels* (minimal sets of assumption [`Env`]ironments under which they
 //!   hold), justifications propagate environments, and environments derived
 //!   for the contradiction node become *nogoods* that prune every label.
-//! * [`FuzzyAtms`] — the paper's §6 extension: justifications carry
-//!   certainty degrees (possibilistic clauses, after the paper's ref \[13\]),
-//!   environments carry the t-norm-combined degree of their derivation, and
-//!   nogoods are *graded* — a partial conflict (degree < 1) does not erase
-//!   an environment, it lowers its plausibility. This is what lets FLAMES
-//!   rank candidate sets instead of drowning in them.
+//!   The crisp interval baseline runs on it.
+//! * [`FuzzyAtms`] — the graded nogood store of the paper's §6 fuzzy
+//!   ATMS. Nogoods are *graded* — a partial conflict (degree < 1) does
+//!   not erase an environment, it lowers its plausibility — and ranked
+//!   candidates come out of the conflicts. This is what lets FLAMES rank
+//!   candidate sets instead of drowning in them. The §6 labels (fuzzy
+//!   values with the environment and degree of their derivation) live in
+//!   the propagation engine of `flames-core`, which feeds every conflict
+//!   it recognizes into this store.
 //!
 //! Diagnosis candidates are minimal hitting sets of the nogood collection
 //! ([`hitting::minimal_hitting_sets`]), ranked by the suspicion degrees the
@@ -46,16 +49,15 @@ mod interner;
 mod shard;
 
 pub mod hitting;
-pub mod possibilistic;
 
 pub use assumptions::{Assumption, AssumptionPool};
 pub use atms::{Atms, JustificationId, NodeId};
 pub use candidates::CandidateSet;
 pub use env::{minimize, Env, EnvIter};
 pub use error::AtmsError;
-pub use fuzzy_atms::{FuzzyAtms, NodeRef, Nogood, RankedDiagnosis, TNorm, WeightedEnv};
+pub use fuzzy_atms::{FuzzyAtms, Nogood, RankedDiagnosis, TNorm};
 pub use interner::{EnvId, EnvTable, SubsetStats};
-pub use shard::{ShardMap, ShardedAtms};
+pub use shard::ShardMap;
 
 /// Convenient result alias for fallible ATMS operations.
 pub type Result<T, E = AtmsError> = std::result::Result<T, E>;
@@ -81,5 +83,4 @@ const _: () = {
     assert_send_sync::<RankedDiagnosis>();
     assert_send_sync::<CandidateSet>();
     assert_send_sync::<ShardMap>();
-    assert_send_sync::<ShardedAtms>();
 };

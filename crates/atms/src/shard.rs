@@ -4,25 +4,21 @@
 //! [`crate::FuzzyAtms`] per board region group. Each shard interns only
 //! the assumptions its own constraints mention, so its [`Env`] bitsets
 //! stay narrow — the point of sharding on a single core is that every
-//! env operation touches a fraction of the global vocabulary. Two pieces
-//! of glue make the per-shard stores compose into one global diagnosis:
+//! env operation touches a fraction of the global vocabulary.
 //!
-//! * [`ShardMap`] — a bidirectional local↔global assumption renaming.
-//!   Boundary environments are *globalized* through the source shard's
-//!   map and *localized* through the target's, lazily extending the
-//!   target vocabulary the first time a foreign assumption crosses the
-//!   cut (classic rename-on-import, as in distributed ATMS labelings).
-//! * [`ShardedAtms`] — a Pareto-minimal store of globalized nogoods with
-//!   the same dominance rule as [`crate::FuzzyAtms`]'s internal store,
-//!   plus the suspicion/ranking queries diagnosis reports need. Because
-//!   Pareto minimality over a *set* of graded nogoods is order-invariant,
-//!   the merged store — and hence the ranked candidates — do not depend
-//!   on how the board was sharded.
+//! [`ShardMap`] is the glue that makes the per-shard stores compose into
+//! one global diagnosis: a bidirectional local↔global assumption
+//! renaming. Boundary environments are *globalized* through the source
+//! shard's map and *localized* through the target's, lazily extending
+//! the target vocabulary the first time a foreign assumption crosses the
+//! cut (classic rename-on-import, as in distributed ATMS labelings). The
+//! globalized nogoods of every shard are merged into one plain
+//! [`crate::FuzzyAtms`]; its Pareto-minimal store depends only on the
+//! *set* of graded nogoods, so the merged store — and hence the ranked
+//! candidates — do not depend on how the board was sharded.
 
 use crate::assumptions::Assumption;
-use crate::candidates::CandidateSet;
 use crate::env::Env;
-use crate::fuzzy_atms::{Nogood, RankedDiagnosis};
 
 const UNBOUND: u32 = u32::MAX;
 
@@ -135,131 +131,6 @@ impl ShardMap {
     }
 }
 
-/// A Pareto-minimal store of **globalized** graded nogoods merged from
-/// every shard, with the suspicion and candidate-ranking queries the
-/// diagnosis report needs.
-///
-/// Install semantics mirror [`crate::FuzzyAtms`]: a nogood is dropped if
-/// an existing subset nogood is at least as strong, and installing one
-/// drops the existing nogoods it dominates. Both rules are symmetric
-/// over arrival order, so the final store is a function of the nogood
-/// *set* — the shard-count invariance gate rests on this.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedAtms {
-    nogoods: Vec<Nogood>,
-}
-
-impl ShardedAtms {
-    /// An empty store.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a graded nogood over **global** assumption ids. Degrees
-    /// ≤ 0 are ignored; degrees are clamped to 1. Returns whether the
-    /// store changed (false when subsumed).
-    pub fn add_nogood(&mut self, env: Env, degree: f64) -> bool {
-        if degree <= 0.0 {
-            return false;
-        }
-        let degree = degree.min(1.0);
-        let subsumed = self
-            .nogoods
-            .iter()
-            .any(|n| n.degree >= degree && n.env.is_subset_of(&env));
-        if subsumed {
-            return false;
-        }
-        self.nogoods
-            .retain(|n| !(degree >= n.degree && env.is_subset_of(&n.env)));
-        self.nogoods.push(Nogood { env, degree });
-        true
-    }
-
-    /// The merged Pareto-minimal store.
-    #[must_use]
-    pub fn nogoods(&self) -> &[Nogood] {
-        &self.nogoods
-    }
-
-    /// Number of stored nogoods.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nogoods.len()
-    }
-
-    /// Whether the store is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nogoods.is_empty()
-    }
-
-    /// Clears the store (per-board reset).
-    pub fn clear(&mut self) {
-        self.nogoods.clear();
-    }
-
-    /// The nogoods sorted by decreasing conflict degree, then
-    /// lexicographically — the same presentation order as
-    /// [`crate::FuzzyAtms::sorted_nogoods`].
-    #[must_use]
-    pub fn sorted_nogoods(&self) -> Vec<Nogood> {
-        let mut ns = self.nogoods.clone();
-        ns.sort_by(|a, b| {
-            b.degree
-                .partial_cmp(&a.degree)
-                .expect("degrees are finite")
-                .then_with(|| a.env.cmp(&b.env))
-        });
-        ns
-    }
-
-    /// Suspicion of a global assumption: the strongest merged conflict
-    /// implicating it (0 when none does).
-    #[must_use]
-    pub fn suspicion(&self, a: Assumption) -> f64 {
-        self.nogoods
-            .iter()
-            .filter(|n| n.env.contains(a))
-            .map(|n| n.degree)
-            .fold(0.0, f64::max)
-    }
-
-    /// Diagnosis candidates over the merged store: minimal hitting sets
-    /// ranked by decreasing degree, then size, then lexicographically —
-    /// the same rule as [`crate::FuzzyAtms::ranked_diagnoses`], so a
-    /// 1-shard run and the unsharded engine agree byte for byte.
-    #[must_use]
-    pub fn ranked_diagnoses(&self, max_size: usize, max_count: usize) -> Vec<RankedDiagnosis> {
-        let mut set = CandidateSet::new(max_size);
-        for n in &self.nogoods {
-            set.install(&n.env);
-        }
-        let mut out: Vec<RankedDiagnosis> = set
-            .sets()
-            .iter()
-            .filter(|env| !env.is_empty())
-            .map(|env| {
-                let degree = env.iter().map(|a| self.suspicion(a)).fold(1.0, f64::min);
-                RankedDiagnosis {
-                    env: env.clone(),
-                    degree,
-                }
-            })
-            .collect();
-        out.sort_by(|p, q| {
-            q.degree
-                .partial_cmp(&p.degree)
-                .expect("degrees are finite")
-                .then_with(|| p.env.len().cmp(&q.env.len()))
-                .then_with(|| p.env.cmp(&q.env))
-        });
-        out.truncate(max_count);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,46 +159,5 @@ mod tests {
         assert_eq!(localized, Env::from_ids([2]));
         assert_eq!(map.global_of(Assumption(2)), Some(Assumption(5)));
         assert_eq!(map.local_of(Assumption(5)), Some(Assumption(2)));
-    }
-
-    #[test]
-    fn store_is_pareto_minimal_and_order_invariant() {
-        let a = (Env::from_ids([0, 1]), 0.6);
-        let b = (Env::from_ids([0]), 0.8); // dominates a
-        let c = (Env::from_ids([2]), 0.3);
-        let mut orders = Vec::new();
-        for perm in [[&a, &b, &c], [&b, &a, &c], [&c, &a, &b]] {
-            let mut store = ShardedAtms::new();
-            for (env, d) in perm {
-                store.add_nogood(env.clone(), *d);
-            }
-            orders.push(store.sorted_nogoods());
-        }
-        assert_eq!(orders[0], orders[1]);
-        assert_eq!(orders[1], orders[2]);
-        assert_eq!(orders[0].len(), 2, "dominated nogood must be dropped");
-    }
-
-    #[test]
-    fn duplicate_installs_are_subsumed() {
-        let mut store = ShardedAtms::new();
-        assert!(store.add_nogood(Env::from_ids([1, 2]), 0.5));
-        assert!(!store.add_nogood(Env::from_ids([1, 2]), 0.5));
-        assert!(!store.add_nogood(Env::from_ids([1, 2, 3]), 0.4));
-        assert!(store.add_nogood(Env::from_ids([1, 2]), 0.9));
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn ranking_matches_the_fuzzy_engine_rule() {
-        let mut store = ShardedAtms::new();
-        store.add_nogood(Env::from_ids([1, 0]), 1.0);
-        store.add_nogood(Env::from_ids([2, 0]), 0.5);
-        let ranked = store.ranked_diagnoses(usize::MAX, 64);
-        // Fig. 5: [d1]@1.0 outranks [r1, r2]@0.5.
-        assert_eq!(ranked[0].env, Env::from_ids([0]));
-        assert!((ranked[0].degree - 1.0).abs() < 1e-12);
-        assert_eq!(ranked[1].env, Env::from_ids([1, 2]));
-        assert!((ranked[1].degree - 0.5).abs() < 1e-12);
     }
 }

@@ -1,15 +1,15 @@
-//! Tier-1 invariant suite for the fuzzy ATMS kernel: label soundness
-//! and Pareto-minimality, nogood-store minimality, monotonicity of
-//! plausibility/suspicion under nogood strengthening, and invariance of
-//! every observable under the installation order of justifications and
-//! nogoods.
+//! Tier-1 invariant suite for the graded nogood store ([`FuzzyAtms`]):
+//! store minimality, monotonicity of plausibility under nogood
+//! strengthening, and invariance of every observable — the store,
+//! suspicion, plausibility and the ranked candidates — under the order
+//! in which the same graded nogoods arrive.
 //!
 //! Unlike `props.rs` (the large randomized suite gated behind
 //! `--features proptest`), these checks run on every `cargo test`: they
-//! are the contracts the propagation engine and the serving layer lean
-//! on, so regressions here must surface in tier-1.
+//! are the contracts the propagation engine, the shard merge and the
+//! serving layer lean on, so regressions here must surface in tier-1.
 
-use flames_atms::{Assumption, Env, FuzzyAtms, NodeRef};
+use flames_atms::{Assumption, Env, FuzzyAtms};
 
 /// SplitMix64 — the same mixer as `flames_bench::rng`, inlined because
 /// integration tests cannot depend on the bench crate (it depends on
@@ -38,98 +38,51 @@ impl Rng {
     }
 }
 
-/// One deferred build step. All nodes are created up front, so the ops
-/// can be applied in *any* order — late justifications re-propagate
-/// through already-installed consumers, which is exactly the machinery
-/// the interleaving tests exercise.
-#[derive(Clone)]
-enum Op {
-    Justify {
-        antecedents: Vec<NodeRef>,
-        consequent: NodeRef,
-        degree: f64,
-    },
-    Nogood(Env, f64),
-}
-
-/// A generated scenario: an assumption universe, pre-created derived
-/// nodes, and a list of build ops referencing them.
-struct Scenario {
-    atms: FuzzyAtms,
+/// A generated `add_nogood` stream over an assumption universe: graded
+/// conflicts of 1–3 members, half of them total (degree 1), with
+/// repeats and sub/supersets likely enough to exercise subsumption.
+struct Stream {
     assumptions: Vec<Assumption>,
-    nodes: Vec<NodeRef>,
-    ops: Vec<Op>,
+    nogoods: Vec<(Env, f64)>,
 }
 
-fn random_scenario(rng: &mut Rng) -> Scenario {
+fn random_stream(rng: &mut Rng) -> Stream {
     let mut atms = FuzzyAtms::new();
     let n_assumptions = 4 + rng.below(5) as usize;
-    let assumptions: Vec<Assumption> = (0..n_assumptions)
-        .map(|i| atms.add_assumption(format!("a{i}")))
+    let assumptions: Vec<Assumption> = (0..n_assumptions).map(|_| atms.add_assumption()).collect();
+    let n_nogoods = 2 + rng.below(10) as usize;
+    let nogoods = (0..n_nogoods)
+        .map(|_| {
+            let len = 1 + rng.below(3) as usize;
+            let env = Env::from_assumptions(
+                (0..len).map(|_| assumptions[rng.below(n_assumptions as u64) as usize]),
+            );
+            let degree = if rng.below(2) == 0 {
+                1.0
+            } else {
+                rng.range(0.05, 0.95)
+            };
+            (env, degree)
+        })
         .collect();
-    let mut referable: Vec<NodeRef> = assumptions
-        .iter()
-        .map(|&a| atms.assumption_node(a))
-        .collect();
-    let mut nodes = Vec::new();
-    let mut ops = Vec::new();
-    let n_rules = 3 + rng.below(6) as usize;
-    for j in 0..n_rules {
-        let consequent = atms.add_node(format!("n{j}"));
-        let n_ante = 1 + rng.below(3) as usize;
-        let mut antecedents: Vec<NodeRef> = (0..n_ante)
-            .map(|_| referable[rng.below(referable.len() as u64) as usize])
-            .collect();
-        antecedents.dedup();
-        let degree = if rng.below(2) == 0 {
-            1.0
-        } else {
-            rng.range(0.3, 1.0)
-        };
-        ops.push(Op::Justify {
-            antecedents,
-            consequent,
-            degree,
-        });
-        referable.push(consequent);
-        nodes.push(consequent);
-    }
-    let n_nogoods = 1 + rng.below(5) as usize;
-    for _ in 0..n_nogoods {
-        let len = 1 + rng.below(3) as usize;
-        let env = Env::from_assumptions(
-            (0..len).map(|_| assumptions[rng.below(n_assumptions as u64) as usize]),
-        );
-        let degree = if rng.below(2) == 0 {
-            1.0
-        } else {
-            rng.range(0.2, 0.95)
-        };
-        ops.push(Op::Nogood(env, degree));
-    }
-    Scenario {
-        atms,
+    Stream {
         assumptions,
-        nodes,
-        ops,
+        nogoods,
     }
 }
 
-/// Applies the ops in the given index order.
-fn apply(scenario: &mut Scenario, order: &[usize]) {
-    for &i in order {
-        match scenario.ops[i].clone() {
-            Op::Justify {
-                antecedents,
-                consequent,
-                degree,
-            } => scenario
-                .atms
-                .justify_weighted(antecedents, consequent, degree, format!("op{i}"))
-                .expect("well-formed rule"),
-            Op::Nogood(env, degree) => scenario.atms.add_nogood(env, degree),
-        }
+/// Installs the stream's nogoods in the given index order into a fresh
+/// store over the same assumption universe.
+fn build(stream: &Stream, order: &[usize]) -> FuzzyAtms {
+    let mut atms = FuzzyAtms::new();
+    for &a in &stream.assumptions {
+        assert_eq!(atms.add_assumption(), a);
     }
+    for &i in order {
+        let (env, degree) = &stream.nogoods[i];
+        atms.add_nogood(env.clone(), *degree);
+    }
+    atms
 }
 
 fn shuffled(rng: &mut Rng, n: usize) -> Vec<usize> {
@@ -140,79 +93,29 @@ fn shuffled(rng: &mut Rng, n: usize) -> Vec<usize> {
     order
 }
 
-/// Sorted `(env, degree)` view of a label, for structural comparison.
-fn label_key(atms: &FuzzyAtms, node: NodeRef) -> Vec<(Env, u64)> {
-    let mut key: Vec<(Env, u64)> = atms
-        .label(node)
-        .expect("known node")
-        .into_iter()
-        .map(|w| (w.env, w.degree.to_bits()))
-        .collect();
-    key.sort();
-    key
+fn probes(rng: &mut Rng, assumptions: &[Assumption]) -> Vec<Env> {
+    (0..12)
+        .map(|_| {
+            let len = rng.below(5) as usize;
+            Env::from_assumptions(
+                (0..len).map(|_| assumptions[rng.below(assumptions.len() as u64) as usize]),
+            )
+        })
+        .collect()
 }
 
-const CASES: usize = 50;
-
-/// After an arbitrary interleaving of justification and nogood
-/// installs: every label is an antichain under (⊆, ≥ degree), every
-/// label environment survives the kill threshold, and `holds_degree` is
-/// positive on each of its own label environments.
-#[test]
-fn labels_stay_minimal_and_sound_under_interleaved_installs() {
-    let mut rng = Rng(0x1A75_0001);
-    for case in 0..CASES {
-        let mut s = random_scenario(&mut rng);
-        let order = shuffled(&mut rng, s.ops.len());
-        apply(&mut s, &order);
-        let kill = s.atms.kill_threshold();
-        for &node in &s.nodes {
-            let label = s.atms.label(node).expect("known node");
-            for (i, a) in label.iter().enumerate() {
-                // Soundness: the environment is alive (no killing nogood
-                // inside it) and the node actually holds under it.
-                for n in s.atms.nogoods() {
-                    assert!(
-                        !(n.degree >= kill && n.env.is_subset_of(&a.env)),
-                        "case {case}: label env {} contains killing nogood {}",
-                        a.env,
-                        n.env
-                    );
-                }
-                let holds = s.atms.holds_degree(node, &a.env).expect("known node");
-                assert!(
-                    holds > 0.0,
-                    "case {case}: node does not hold under its own label env"
-                );
-                // Pareto-minimality: no other entry is at least as
-                // general and at least as certain.
-                for (j, b) in label.iter().enumerate() {
-                    if i != j {
-                        assert!(
-                            !(b.env.is_subset_of(&a.env) && b.degree >= a.degree),
-                            "case {case}: label entry ({}, {}) dominated by ({}, {})",
-                            a.env,
-                            a.degree,
-                            b.env,
-                            b.degree
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
+const CASES: usize = 200;
 
 /// The nogood store is Pareto-minimal: no recorded conflict has a
-/// subset conflict that is at least as strong.
+/// subset conflict that is at least as strong, and every installed
+/// conflict stays entailed (`1 − plausibility(env) ≥ degree`).
 #[test]
 fn nogood_store_is_an_antichain() {
     let mut rng = Rng(0x1A75_0002);
     for case in 0..CASES {
-        let mut s = random_scenario(&mut rng);
-        let order = shuffled(&mut rng, s.ops.len());
-        apply(&mut s, &order);
-        let nogoods = s.atms.nogoods();
+        let stream = random_stream(&mut rng);
+        let atms = build(&stream, &shuffled(&mut rng, stream.nogoods.len()));
+        let nogoods = atms.nogoods();
         for (i, a) in nogoods.iter().enumerate() {
             for (j, b) in nogoods.iter().enumerate() {
                 if i != j {
@@ -227,64 +130,55 @@ fn nogood_store_is_an_antichain() {
                 }
             }
         }
+        for (env, degree) in &stream.nogoods {
+            assert!(
+                1.0 - atms.plausibility(env) >= degree - 1e-12,
+                "case {case}: nogood ({env}, {degree}) not entailed by the store"
+            );
+        }
     }
 }
 
 /// Strengthening the nogood store — new conflicts, or higher degrees on
-/// existing ones — can only lower plausibility and `holds_degree`, and
-/// every previously recorded conflict stays entailed. (Raw `suspicion`
-/// is deliberately *not* claimed monotone: a fresh `{a}`-nogood at
-/// degree 1 subsumes a weaker `{a, b}` out of the Pareto-minimal store,
-/// correctly dropping b's suspicion — the conflict is explained by `a`
-/// alone, so `b` stops being a suspect.)
+/// existing ones — can only lower plausibility, and every previously
+/// recorded conflict stays entailed. (Raw `suspicion` is deliberately
+/// *not* claimed monotone: a fresh `{a}`-nogood at degree 1 subsumes a
+/// weaker `{a, b}` out of the Pareto-minimal store, correctly dropping
+/// b's suspicion — the conflict is explained by `a` alone, so `b` stops
+/// being a suspect.)
 #[test]
-fn degrees_are_monotone_under_nogood_strengthening() {
+fn plausibility_is_monotone_under_nogood_strengthening() {
     let mut rng = Rng(0x1A75_0003);
     for case in 0..CASES {
-        let mut s = random_scenario(&mut rng);
-        let order: Vec<usize> = (0..s.ops.len()).collect();
-        apply(&mut s, &order);
+        let stream = random_stream(&mut rng);
+        let order: Vec<usize> = (0..stream.nogoods.len()).collect();
+        let mut atms = build(&stream, &order);
 
-        // Probe envs: a sample of subsets of the assumption universe.
-        let probes: Vec<Env> = (0..12)
-            .map(|_| {
-                let len = 1 + rng.below(4) as usize;
-                Env::from_assumptions(
-                    (0..len).map(|_| s.assumptions[rng.below(s.assumptions.len() as u64) as usize]),
-                )
-            })
-            .collect();
-        let plaus_before: Vec<f64> = probes.iter().map(|e| s.atms.plausibility(e)).collect();
-        let nogoods_before: Vec<(Env, f64)> = s
-            .atms
+        let probes = probes(&mut rng, &stream.assumptions);
+        let plaus_before: Vec<f64> = probes.iter().map(|e| atms.plausibility(e)).collect();
+        let nogoods_before: Vec<(Env, f64)> = atms
             .nogoods()
             .iter()
             .map(|n| (n.env.clone(), n.degree))
             .collect();
-        let holds_before: Vec<f64> = s
-            .nodes
-            .iter()
-            .flat_map(|&n| probes.iter().map(move |e| (n, e)).collect::<Vec<_>>())
-            .map(|(n, e)| s.atms.holds_degree(n, e).expect("known node"))
-            .collect();
 
         // Strengthen: re-install existing nogoods with higher degrees
         // and add a few fresh ones.
-        let existing: Vec<Env> = s.atms.nogoods().iter().map(|n| n.env.clone()).collect();
-        for env in existing {
-            s.atms.add_nogood(env, 1.0);
+        for (env, degree) in nogoods_before.clone() {
+            atms.add_nogood(env, (degree + rng.range(0.0, 0.5)).min(1.0));
         }
         for _ in 0..3 {
             let len = 1 + rng.below(3) as usize;
-            let env = Env::from_assumptions(
-                (0..len).map(|_| s.assumptions[rng.below(s.assumptions.len() as u64) as usize]),
-            );
-            s.atms.add_nogood(env, rng.range(0.5, 1.0));
+            let env =
+                Env::from_assumptions((0..len).map(|_| {
+                    stream.assumptions[rng.below(stream.assumptions.len() as u64) as usize]
+                }));
+            atms.add_nogood(env, rng.range(0.5, 1.0));
         }
 
         for (probe, before) in probes.iter().zip(&plaus_before) {
             assert!(
-                s.atms.plausibility(probe) <= before + 1e-12,
+                atms.plausibility(probe) <= before + 1e-12,
                 "case {case}: plausibility increased under strengthening"
             );
         }
@@ -293,87 +187,60 @@ fn degrees_are_monotone_under_nogood_strengthening() {
             // current store entails over `env` — strengthening (plus
             // Pareto re-minimization) must never forget a conflict.
             assert!(
-                1.0 - s.atms.plausibility(env) >= degree - 1e-12,
+                1.0 - atms.plausibility(env) >= degree - 1e-12,
                 "case {case}: nogood ({env}, {degree}) no longer entailed"
             );
-        }
-        let mut k = 0;
-        for &n in &s.nodes {
-            for probe in &probes {
-                assert!(
-                    s.atms.holds_degree(n, probe).expect("known node") <= holds_before[k] + 1e-12,
-                    "case {case}: holds_degree increased under strengthening"
-                );
-                k += 1;
-            }
         }
     }
 }
 
-/// Every observable — the nogood store, each node's weighted label, and
-/// plausibility over probe environments — is independent of the order
-/// in which the same justifications and nogoods were installed.
+/// Every observable — the sorted nogood store, suspicion, plausibility
+/// over probe environments and the ranked candidates — is independent
+/// of the order in which the same graded nogoods were installed. The
+/// shard merge rests on this: it installs each shard's nogoods in shard
+/// order, and the report must not depend on how the board was cut.
 #[test]
 fn observables_are_invariant_under_install_order() {
     let mut rng = Rng(0x1A75_0004);
     for case in 0..CASES {
-        let reference = random_scenario(&mut rng);
-        // Rebuild the *same* scenario twice from the shared op list.
-        // `random_scenario` consumed rng draws, so clone its structure
-        // instead of regenerating.
-        let build = |order: &[usize]| {
-            let mut atms = FuzzyAtms::new();
-            let assumptions: Vec<Assumption> = (0..reference.assumptions.len())
-                .map(|i| atms.add_assumption(format!("a{i}")))
-                .collect();
-            assert_eq!(assumptions, reference.assumptions);
-            let nodes: Vec<NodeRef> = (0..reference.nodes.len())
-                .map(|j| atms.add_node(format!("n{j}")))
-                .collect();
-            assert_eq!(nodes, reference.nodes);
-            let mut s = Scenario {
-                atms,
-                assumptions,
-                nodes,
-                ops: reference.ops.clone(),
-            };
-            apply(&mut s, order);
-            s
-        };
-        let forward: Vec<usize> = (0..reference.ops.len()).collect();
-        let a = build(&forward);
-        let b = build(&shuffled(&mut rng, reference.ops.len()));
+        let stream = random_stream(&mut rng);
+        let forward: Vec<usize> = (0..stream.nogoods.len()).collect();
+        let a = build(&stream, &forward);
+        let b = build(&stream, &shuffled(&mut rng, stream.nogoods.len()));
 
-        let key = |atms: &FuzzyAtms| {
-            let mut ns: Vec<(Env, u64)> = atms
-                .nogoods()
-                .iter()
-                .map(|n| (n.env.clone(), n.degree.to_bits()))
-                .collect();
-            ns.sort();
-            ns
-        };
         assert_eq!(
-            key(&a.atms),
-            key(&b.atms),
+            a.sorted_nogoods(),
+            b.sorted_nogoods(),
             "case {case}: nogood stores diverge"
         );
-        for (&na, &nb) in a.nodes.iter().zip(&b.nodes) {
+        for &x in &stream.assumptions {
             assert_eq!(
-                label_key(&a.atms, na),
-                label_key(&b.atms, nb),
-                "case {case}: labels diverge"
+                a.suspicion(x).to_bits(),
+                b.suspicion(x).to_bits(),
+                "case {case}: suspicion of {x} diverges"
             );
         }
-        for _ in 0..12 {
-            let len = rng.below(5) as usize;
-            let probe = Env::from_assumptions(
-                (0..len).map(|_| a.assumptions[rng.below(a.assumptions.len() as u64) as usize]),
+        for probe in probes(&mut rng, &stream.assumptions) {
+            assert_eq!(
+                a.plausibility(&probe).to_bits(),
+                b.plausibility(&probe).to_bits(),
+                "case {case}: plausibility diverges on {probe}"
+            );
+        }
+        for max_size in [1, 2, 3, usize::MAX] {
+            let ranked = a.ranked_diagnoses(max_size, 64);
+            assert_eq!(
+                ranked,
+                b.ranked_diagnoses(max_size, 64),
+                "case {case}: ranked candidates diverge at max_size {max_size}"
             );
             assert_eq!(
-                a.atms.plausibility(&probe).to_bits(),
-                b.atms.plausibility(&probe).to_bits(),
-                "case {case}: plausibility diverges on {probe}"
+                ranked,
+                a.ranked_diagnoses_oracle(max_size, usize::MAX)
+                    .into_iter()
+                    .take(64)
+                    .collect::<Vec<_>>(),
+                "case {case}: incremental candidates diverge from the oracle"
             );
         }
     }

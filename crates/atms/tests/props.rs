@@ -1,7 +1,8 @@
 //! Randomized property suites for the ATMS engines: observational
 //! equivalence of the bitset [`Env`] against a sorted-set reference
-//! model, label invariants (soundness, minimality, consistency),
-//! hitting-set correctness, and the grading laws of the fuzzy extension.
+//! model, classic label invariants (soundness, minimality, consistency),
+//! hitting-set correctness, and the grading laws of the graded nogood
+//! store.
 //!
 //! Dependency-free: cases are generated with an inline SplitMix64 and
 //! checked with plain `assert!`. Gated behind `--features proptest`
@@ -9,7 +10,6 @@
 //! because they need the external crate.
 
 use flames_atms::hitting::{is_hitting_set, minimal_hitting_sets};
-use flames_atms::possibilistic::{Literal, PossibilisticBase};
 use flames_atms::{minimize, Assumption, Atms, CandidateSet, Env, FuzzyAtms};
 use std::collections::BTreeSet;
 
@@ -346,26 +346,6 @@ fn atms_labels_stay_consistent_and_minimal() {
 }
 
 #[test]
-fn fuzzy_degrees_never_leave_unit_interval() {
-    let mut r = Rng(7);
-    for _ in 0..CASES {
-        let degrees: Vec<f64> = (0..1 + r.below(5)).map(|_| r.range(0.05, 1.0)).collect();
-        let mut atms = FuzzyAtms::new();
-        let a = atms.add_assumption("a");
-        let mut prev = atms.assumption_node(a);
-        for (i, d) in degrees.iter().enumerate() {
-            let next = atms.add_node(format!("n{i}"));
-            atms.justify_weighted([prev], next, *d, "chain").unwrap();
-            prev = next;
-        }
-        let label = atms.label(prev).unwrap();
-        assert_eq!(label.len(), 1);
-        let expected: f64 = degrees.iter().copied().fold(1.0, f64::min);
-        assert!((label[0].degree - expected).abs() < 1e-12);
-    }
-}
-
-#[test]
 fn plausibility_is_monotone_in_nogoods() {
     let mut r = Rng(8);
     for _ in 0..CASES {
@@ -374,8 +354,8 @@ fn plausibility_is_monotone_in_nogoods() {
         let d1 = r.range(0.1, 1.0);
         let d2 = r.range(0.1, 1.0);
         let mut atms = FuzzyAtms::new();
-        for i in 0..6 {
-            atms.add_assumption(format!("a{i}"));
+        for _ in 0..6 {
+            atms.add_assumption();
         }
         let env = Env::from_ids(base.iter().copied());
         let before = atms.plausibility(&env);
@@ -403,8 +383,8 @@ fn ranked_diagnoses_are_hitting_sets() {
             })
             .collect();
         let mut atms = FuzzyAtms::new();
-        for i in 0..6 {
-            atms.add_assumption(format!("a{i}"));
+        for _ in 0..6 {
+            atms.add_assumption();
         }
         for (ids, d) in &conflict_data {
             atms.add_nogood(Env::from_ids(ids.iter().copied()), *d);
@@ -421,59 +401,6 @@ fn ranked_diagnoses_are_hitting_sets() {
         for w in diags.windows(2) {
             assert!(w[0].degree >= w[1].degree - 1e-12);
         }
-    }
-}
-
-#[test]
-fn positive_clause_bases_are_consistent() {
-    let mut r = Rng(10);
-    for _ in 0..CASES {
-        // All-positive clauses are satisfied by the all-true assignment:
-        // the inconsistency degree must be zero.
-        let mut base = PossibilisticBase::new();
-        for _ in 0..r.below(8) {
-            let mut ids = rand_ids(&mut r, 6, 3);
-            ids.insert(r.below(6) as u32);
-            let w = r.range(0.1, 1.0);
-            base.add_clause(ids.iter().map(|&v| Literal::pos(v)), w)
-                .unwrap();
-        }
-        assert_eq!(base.inconsistency_degree(), 0.0);
-    }
-}
-
-#[test]
-fn unit_clause_entailment_at_least_its_necessity() {
-    let mut r = Rng(11);
-    for _ in 0..CASES {
-        let var = r.below(6) as u32;
-        let w = r.range(0.1, 1.0);
-        let mut base = PossibilisticBase::new();
-        base.add_clause([Literal::pos(var)], w).unwrap();
-        // Positive side clauses cannot reduce the entailment of x_var.
-        for _ in 0..r.below(4) {
-            let mut ids = rand_ids(&mut r, 6, 2);
-            ids.insert(r.below(6) as u32);
-            let cw = r.range(0.1, 1.0);
-            base.add_clause(ids.iter().map(|&v| Literal::pos(v)), cw)
-                .unwrap();
-        }
-        let degree = base.entailment_degree(Literal::pos(var));
-        assert!(degree >= w - 1e-9, "{degree} < {w}");
-    }
-}
-
-#[test]
-fn inconsistency_bounded_by_weakest_contradiction() {
-    let mut r = Rng(12);
-    for _ in 0..CASES {
-        let w1 = r.range(0.1, 1.0);
-        let w2 = r.range(0.1, 1.0);
-        let mut base = PossibilisticBase::new();
-        base.add_clause([Literal::pos(0)], w1).unwrap();
-        base.add_clause([Literal::neg(0)], w2).unwrap();
-        let inc = base.inconsistency_degree();
-        assert!((inc - w1.min(w2)).abs() < 1e-9);
     }
 }
 

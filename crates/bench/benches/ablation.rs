@@ -1,5 +1,5 @@
 //! Benches for the design-choice ablations called out in `DESIGN.md` §5:
-//! t-norm, kill threshold, and conflict threshold of the fuzzy engine,
+//! t-norm, conflict threshold and label cap of the fuzzy engine,
 //! measured on the Fig. 7 soft-fault scenario.
 //!
 //! Runs with `cargo bench --features bench` on the dependency-free
@@ -36,13 +36,6 @@ fn main() {
             "tnorm_product",
             PropagatorConfig {
                 tnorm: TNorm::Product,
-                ..Default::default()
-            },
-        ),
-        (
-            "kill_threshold_0.5",
-            PropagatorConfig {
-                kill_threshold: 0.5,
                 ..Default::default()
             },
         ),

@@ -7,31 +7,29 @@
 //! * **kernel** — `Consistency::between` (closed-form, stack-only)
 //!   versus the retained PWL fallback (`to_pwl`, polyline intersection
 //!   and area — the pre-refactor cost per comparison), and the 4-wide
-//!   batch kernel (`between_batch`/`between_columns`) versus the
-//!   scalar closed form, on a fixed fleet of random trapezoid pairs.
-//!   Gates: closed-form ≥ 3× PWL; batch ≥ 2× closed-form under wide
-//!   dispatch.
+//!   batch kernel `between_batch` — the entry point the engine's
+//!   reports and the rule store call — versus the scalar closed form,
+//!   on a fixed fleet of random trapezoid pairs. Gates: closed-form
+//!   ≥ 3× PWL; batch ≥ 2× closed-form.
 //! * **lanes** — `diagnose_batch_lanes` (one schedule traversal per
-//!   wave amortised over up to 64 warm sessions, and the only path
-//!   that takes the 4-wide kernels — solo runs stay scalar) versus the
-//!   per-board `diagnose_batch` on the paper's Fig. 6 three-stage
-//!   amplifier, one thread each. The lane contract is *byte-identical
-//!   reports, faster*: under wide dispatch the gate is ≥ 1.15×; under
-//!   `FLAMES_FORCE_SCALAR=1` both paths do the same scalar work and
-//!   the gate is the original no-regression bound (≥ 0.9×). See
-//!   DESIGN.md §10 and §14.
+//!   wave amortised over up to 64 warm sessions) versus the per-board
+//!   `diagnose_batch` on the paper's Fig. 6 three-stage amplifier, one
+//!   thread each. Both paths run the same 4-wide classify/apply
+//!   kernels, so the lane contract is *byte-identical reports, no
+//!   slower*: the gate is the no-regression bound (≥ 0.9×) that applies
+//!   whenever both sides do the same kernel work. See DESIGN.md §10 and
+//!   §14.
 //!
 //! Before any timing, the gates assert the fast paths are byte-exact:
 //! every kernel pair must agree with the PWL fallback to 1e-12 and in
 //! direction, the batch kernel with the scalar oracle likewise, and
-//! the lane batch must reproduce the per-board reports byte-identically
-//! (which, lanes being wide and solo runs scalar, is a wide-vs-scalar
-//! differential over the whole pipeline). The gated speedups are
-//! measured with [`Harness::bench_pair`] — interleaved rounds whose
-//! per-round ratios cancel host-noise drift — because on a busy or
-//! thermally-throttling host two back-to-back absolute measurements
-//! would absorb the drift into the ratio. Writes `BENCH_dc.json` in
-//! the current directory and exits non-zero if a gate fails.
+//! the lane batch must reproduce the per-board reports byte-identically.
+//! The gated speedups are measured with [`Harness::bench_pair`] —
+//! interleaved rounds whose per-round ratios cancel host-noise drift —
+//! because on a busy or thermally-throttling host two back-to-back
+//! absolute measurements would absorb the drift into the ratio. Writes
+//! `BENCH_dc.json` in the current directory and exits non-zero if a
+//! gate fails.
 
 use flames_bench::harness::Harness;
 use flames_bench::rng::SplitMix64;
@@ -40,7 +38,7 @@ use flames_circuit::fault::inject_faults;
 use flames_circuit::predict::measure;
 use flames_circuit::{CompId, Fault};
 use flames_core::{diagnose_batch, diagnose_batch_lanes, Board, Diagnoser, DiagnoserConfig};
-use flames_fuzzy::{Consistency, FuzzyInterval, TrapezoidColumns};
+use flames_fuzzy::{Consistency, FuzzyInterval};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -169,14 +167,11 @@ fn main() {
     let kernel_speedup = kernel.a_over_b;
 
     // ----- batch kernel: 4-wide Dc vs scalar closed form -------------
-    let wide = flames_obs::wide_enabled();
     let vms: Vec<FuzzyInterval> = pairs.iter().map(|(vm, _)| *vm).collect();
     let vns: Vec<FuzzyInterval> = pairs.iter().map(|(_, vn)| *vn).collect();
 
     // Exactness gate before timing: the batch kernel carries a ≤1e-12
-    // degree + direction-equality contract against the scalar oracle
-    // (and in forced-scalar mode it *is* the splatted kernel, pair by
-    // pair, so the same gate covers both dispatch modes).
+    // degree + direction-equality contract against the scalar oracle.
     let mut batch_out = Vec::new();
     Consistency::between_batch(&vms, &vns, &mut batch_out);
     for (i, ((vm, vn), batch)) in pairs.iter().zip(&batch_out).enumerate() {
@@ -189,37 +184,11 @@ fn main() {
         );
         assert_eq!(batch.direction(), scalar.direction(), "pair {i}: direction");
     }
-    println!("batch exactness gate passed: {PAIRS} pairs agree to 1e-12 (wide dispatch: {wide})\n");
+    println!("batch exactness gate passed: {PAIRS} pairs agree to 1e-12\n");
 
-    let batch_rows_ns = h.bench("dc_batch_rows", || {
-        let mut out = std::mem::take(&mut batch_out);
-        out.clear();
-        Consistency::between_batch(black_box(&vms), black_box(&vns), &mut out);
-        batch_out = out;
-        black_box(batch_out.len())
-    }) / PAIRS as f64;
-
-    // The gate row is the columnar entry point — the layout the engine
-    // actually feeds the kernel from (`EntryColumns` and the report
-    // loops store trapezoids as parallel columns), so no row-to-column
-    // transpose is charged to the kernel.
-    let unzip = |vs: &[FuzzyInterval]| {
-        (
-            vs.iter().map(FuzzyInterval::core_lo).collect::<Vec<_>>(),
-            vs.iter().map(FuzzyInterval::core_hi).collect::<Vec<_>>(),
-            vs.iter()
-                .map(FuzzyInterval::spread_left)
-                .collect::<Vec<_>>(),
-            vs.iter()
-                .map(FuzzyInterval::spread_right)
-                .collect::<Vec<_>>(),
-        )
-    };
-    let (m_m1, m_m2, m_al, m_be) = unzip(&vms);
-    let (n_m1, n_m2, n_al, n_be) = unzip(&vns);
     let batch = h.bench_pair(
         "dc_closed_form_vs_batch",
-        "dc_batch_columns",
+        "dc_batch",
         || {
             let mut acc = 0.0;
             for (vm, vn) in &pairs {
@@ -228,21 +197,9 @@ fn main() {
             black_box(acc)
         },
         || {
-            let cm = TrapezoidColumns {
-                m1: &m_m1,
-                m2: &m_m2,
-                alpha: &m_al,
-                beta: &m_be,
-            };
-            let cn = TrapezoidColumns {
-                m1: &n_m1,
-                m2: &n_m2,
-                alpha: &n_al,
-                beta: &n_be,
-            };
             let mut out = std::mem::take(&mut batch_out);
             out.clear();
-            Consistency::between_columns(black_box(&cm), black_box(&cn), &mut out);
+            Consistency::between_batch(black_box(&vms), black_box(&vns), &mut out);
             batch_out = out;
             black_box(batch_out.len())
         },
@@ -302,9 +259,7 @@ fn main() {
             "    \"closed_form_ns_per_op\": {closed:.1},\n",
             "    \"pwl_ns_per_op\": {pwl:.1},\n",
             "    \"speedup\": {kspeed:.2},\n",
-            "    \"wide_dispatch\": {wide},\n",
             "    \"batch_ns_per_op\": {batch:.1},\n",
-            "    \"batch_rows_ns_per_op\": {batch_rows:.1},\n",
             "    \"batch_speedup\": {bspeed:.2}\n",
             "  }},\n",
             "  \"lanes\": {{\n",
@@ -324,9 +279,7 @@ fn main() {
         closed = closed_ns,
         pwl = pwl_ns,
         kspeed = kernel_speedup,
-        wide = wide,
         batch = batch_ns,
-        batch_rows = batch_rows_ns,
         bspeed = batch_speedup,
         boards = BOARDS,
         width = LANE_WIDTH,
@@ -343,22 +296,13 @@ fn main() {
         kernel_speedup >= 3.0,
         "closed-form Dc must be at least 3x the PWL fallback, measured {kernel_speedup:.2}x"
     );
-    if wide {
-        assert!(
-            batch_speedup >= 2.0,
-            "4-wide batch Dc must be at least 2x the scalar closed form, \
-             measured {batch_speedup:.2}x"
-        );
-        assert!(
-            lane_speedup >= 1.15,
-            "wide lane batches must beat per-board throughput, measured {lane_speedup:.2}x"
-        );
-    } else {
-        // Forced-scalar fallback: the speedup rows are informational,
-        // only the no-regression bound applies.
-        assert!(
-            lane_speedup >= 0.9,
-            "lane batches must not regress per-board throughput, measured {lane_speedup:.2}x"
-        );
-    }
+    assert!(
+        batch_speedup >= 2.0,
+        "4-wide batch Dc must be at least 2x the scalar closed form, \
+         measured {batch_speedup:.2}x"
+    );
+    assert!(
+        lane_speedup >= 0.9,
+        "lane batches must not regress per-board throughput, measured {lane_speedup:.2}x"
+    );
 }

@@ -67,9 +67,9 @@ fn main() {
     let mu2 = spec.membership(ir2_micro);
     println!("  condition = [-1, 100, 0, 10] µA; µ(105) = {mu1:.2}, µ(200) = {mu2:.2}");
     let mut atms = FuzzyAtms::new();
-    let d1 = atms.add_assumption("d1");
-    let r1 = atms.add_assumption("r1");
-    let r2 = atms.add_assumption("r2");
+    let d1 = atms.add_assumption();
+    let r1 = atms.add_assumption();
+    let r2 = atms.add_assumption();
     atms.add_nogood(Env::from_assumptions([r1, d1]), 1.0 - mu1);
     atms.add_nogood(Env::from_assumptions([r2, d1]), 1.0 - mu2);
     println!(

@@ -208,7 +208,7 @@ impl AcDiagnoser {
         let mut pool = AssumptionPool::new();
         let mut comp_assumptions = Vec::with_capacity(self.netlist.component_count());
         for (_, comp) in self.netlist.components() {
-            let a = atms.add_assumption(comp.name());
+            let a = atms.add_assumption();
             // The intern must run in release builds too — the pool is what
             // names every env in reports.
             let interned = pool.intern(comp.name());

@@ -867,8 +867,8 @@ impl<'d> Session<'d> {
     #[must_use]
     pub fn report(&self) -> Report {
         let model = Arc::as_ref(&self.diagnoser.model);
-        // Grade every measured point in one batch — the 4-wide Dc kernel
-        // when the dispatch allows, the identical lane math otherwise.
+        // Grade every measured point in one batch through the 4-wide Dc
+        // kernel (tail pairs take the identical splatted lane math).
         let mut vms = Vec::with_capacity(self.measured.len());
         let mut vns = Vec::with_capacity(self.measured.len());
         for (idx, m) in self.measured.iter().enumerate() {

@@ -39,6 +39,7 @@ use flames_atms::{Assumption, AssumptionPool, Env, FuzzyAtms, TNorm};
 use flames_circuit::compile::{CompiledNetwork, CompiledRelation};
 use flames_circuit::constraint::{Network, QuantityId};
 use flames_circuit::{CompId, Net, Netlist};
+use flames_fuzzy::simd::{add4, included4, ne4, possibility4, scale4, width4, Traps4, W4};
 use flames_fuzzy::{Consistency, FuzzyInterval};
 use std::collections::VecDeque;
 
@@ -307,9 +308,6 @@ pub struct PropagatorConfig {
     /// Conflict degrees at or below this threshold are treated as noise
     /// (no nogood). Default `0.02`.
     pub conflict_threshold: f64,
-    /// Nogood degree at which environments are erased outright (the fuzzy
-    /// ATMS kill threshold). Default `1.0`.
-    pub kill_threshold: f64,
     /// Maximum value entries kept per quantity (explosion guard).
     /// Default `8`.
     pub max_entries: usize,
@@ -326,7 +324,6 @@ impl Default for PropagatorConfig {
         Self {
             tnorm: TNorm::Min,
             conflict_threshold: 0.02,
-            kill_threshold: 1.0,
             max_entries: 8,
             min_tightening: 0.01,
             max_steps: 20_000,
@@ -366,17 +363,17 @@ impl CompiledSchedule {
     /// component of `netlist`, one connection assumption per net owning a
     /// Kirchhoff constraint (in constraint first-appearance order — the
     /// numbering every session previously re-derived), the per-constraint
-    /// support environments, and the seed environments.
+    /// support environments, and the seed environments. The schedule
+    /// reads none of the engine knobs; `_config` stays in the signature
+    /// for existing callers.
     #[must_use]
-    pub fn build(netlist: &Netlist, network: &Network, config: PropagatorConfig) -> Self {
+    pub fn build(netlist: &Netlist, network: &Network, _config: PropagatorConfig) -> Self {
         let compiled = CompiledNetwork::compile(network);
-        let mut atms = FuzzyAtms::new()
-            .with_tnorm(config.tnorm)
-            .with_kill_threshold(config.kill_threshold);
+        let mut atms = FuzzyAtms::new();
         let mut pool = AssumptionPool::new();
         let mut comp_assumptions = Vec::with_capacity(netlist.component_count());
         for (_, comp) in netlist.components() {
-            let a = atms.add_assumption(comp.name());
+            let a = atms.add_assumption();
             // The intern must run in release builds too — the pool is what
             // names every env in reports.
             let interned = pool.intern(comp.name());
@@ -386,7 +383,7 @@ impl CompiledSchedule {
         let mut conn_assumptions = vec![None; netlist.net_count()];
         for &net in compiled.conn_nets() {
             let name = format!("conn:{}", netlist.net_name(net));
-            let a = atms.add_assumption(&name);
+            let a = atms.add_assumption();
             let interned = pool.intern(&name);
             debug_assert_eq!(a, interned);
             conn_assumptions[net.index()] = Some(a);
@@ -443,26 +440,19 @@ impl CompiledSchedule {
     ///
     /// Panics if `include` does not flag every component of `netlist`.
     #[must_use]
-    pub fn build_restricted(
-        netlist: &Netlist,
-        network: &Network,
-        config: PropagatorConfig,
-        include: &[bool],
-    ) -> Self {
+    pub fn build_restricted(netlist: &Netlist, network: &Network, include: &[bool]) -> Self {
         assert_eq!(
             include.len(),
             netlist.component_count(),
             "include must flag every component"
         );
         let compiled = CompiledNetwork::compile(network);
-        let mut atms = FuzzyAtms::new()
-            .with_tnorm(config.tnorm)
-            .with_kill_threshold(config.kill_threshold);
+        let mut atms = FuzzyAtms::new();
         let mut pool = AssumptionPool::new();
         let mut comp_assumptions = Vec::with_capacity(netlist.component_count());
         for (id, comp) in netlist.components() {
             if include[id.index()] {
-                let a = atms.add_assumption(comp.name());
+                let a = atms.add_assumption();
                 let interned = pool.intern(comp.name());
                 debug_assert_eq!(a, interned);
                 comp_assumptions.push(a);
@@ -473,7 +463,7 @@ impl CompiledSchedule {
         let mut conn_assumptions = vec![None; netlist.net_count()];
         for &net in compiled.conn_nets() {
             let name = format!("conn:{}", netlist.net_name(net));
-            let a = atms.add_assumption(&name);
+            let a = atms.add_assumption();
             let interned = pool.intern(&name);
             debug_assert_eq!(a, interned);
             conn_assumptions[net.index()] = Some(a);
@@ -592,13 +582,6 @@ pub(crate) struct PropState {
     /// Reusable keep-mask of the dominance retain pass in
     /// [`PropState::insert`].
     scratch_keep: Vec<bool>,
-    /// True while this state is driven by [`Propagator::run_lane`] *and*
-    /// the wide dispatch is on: coincidence scans take the 4-wide
-    /// kernels. The solo [`Propagator::run`] clears it, so the lane/solo
-    /// byte-identity gate exercises wide-vs-scalar equivalence on every
-    /// lane run. Not serialized meaningfully — snapshots may carry
-    /// either value; every run entry point resets it.
-    wide: bool,
 }
 
 /// The propagation engine: quantity labels, the fuzzy ATMS, and the
@@ -726,7 +709,6 @@ impl<'n> Propagator<'n> {
             dirty: Vec::new(),
             scratch_derived: Vec::new(),
             scratch_keep: Vec::new(),
-            wide: false,
         };
         let mut prop = Self {
             network,
@@ -962,8 +944,8 @@ impl<'n> Propagator<'n> {
     /// per-session: [`Propagator::reset`] and state restores rewind it
     /// with the rest of the ATMS. The shared schedule's pool is not
     /// touched — sharded reports render through the global vocabulary.
-    pub(crate) fn register_assumption(&mut self, name: &str) -> Assumption {
-        self.state.atms.add_assumption(name)
+    pub(crate) fn register_assumption(&mut self) -> Assumption {
+        self.state.atms.add_assumption()
     }
 
     /// Runs constraint propagation to quiescence (bounded by
@@ -1013,7 +995,6 @@ impl<'n> Propagator<'n> {
             state.dirty.clear();
         }
         state.ran = true;
-        state.wide = false;
         let mut changed: Vec<usize> = Vec::new();
         while let Some(ci) = queue.pop_front() {
             queued[ci] = false;
@@ -1119,7 +1100,6 @@ impl<'n> Propagator<'n> {
                 state.dirty.clear();
             }
             state.ran = true;
-            state.wide = flames_fuzzy::simd::enabled();
         }
         // Initial waves in ascending constraint order — the order every
         // solo queue starts in, incremental or full.
@@ -1233,28 +1213,13 @@ impl PropState {
             } => {
                 for dir in directions {
                     derived.clear();
-                    {
-                        let base_env = &sched.constraint_envs[ci];
-                        let out = &mut derived;
-                        if self.wide && !dir.quantities.is_empty() {
-                            self.combos_wide_linear(bias, dir, base_env, tnorm, out);
-                        } else {
-                            self.each_combo(&dir.quantities, |row| {
-                                // target = −(bias + Σ coef_j · v_j) / coef.
-                                let mut sum = FuzzyInterval::crisp(bias);
-                                let mut env = base_env.clone();
-                                let mut degree = 1.0;
-                                let mut measured = false;
-                                for (&(coef, _), entry) in dir.others.iter().zip(row) {
-                                    sum = sum + entry.value.scaled(coef);
-                                    env.union_with(entry.env);
-                                    degree = tnorm.combine(degree, entry.degree);
-                                    measured |= entry.measured;
-                                }
-                                out.push((sum.scaled(dir.neg_inv_coef), env, degree, measured));
-                            });
-                        }
-                    }
+                    self.combos_wide_linear(
+                        bias,
+                        dir,
+                        &sched.constraint_envs[ci],
+                        tnorm,
+                        &mut derived,
+                    );
                     for (value, env, degree, measured) in derived.drain(..) {
                         if self.insert(config, dir.target, value, env, degree, measured) {
                             changed.push(dir.target.index());
@@ -1388,17 +1353,20 @@ impl PropState {
         }
     }
 
-    /// The 4-wide cached-coefficient apply of one Linear direction
-    /// (lane runs only): the combination prefix over all but the last
-    /// source quantity — bias, coefficient-scaled sum, environment
-    /// union, t-norm degree — is folded once per prefix combination in
-    /// the scalar fold's exact order, then the last, fastest-varying
-    /// list streams through [`flames_fuzzy::simd::scale4`] /
-    /// [`flames_fuzzy::simd::add4`] four entries per step. The
-    /// association order per row is the scalar `each_combo` fold's —
-    /// `(prefix + vᵢ·coef_last)·(−1/coef)` — so every emitted row is
-    /// bit-identical to the scalar path, including the 64-row
-    /// enumeration cap cutting mid-stream.
+    /// The 4-wide cached-coefficient apply of one Linear direction,
+    /// `target = −(bias + Σ coef_j · v_j) / coef` over every combination
+    /// of the source entries: the combination prefix over all but the
+    /// last source quantity — bias, coefficient-scaled sum, environment
+    /// union, t-norm degree — is folded once per prefix combination,
+    /// then the last, fastest-varying list streams through
+    /// [`flames_fuzzy::simd::scale4`] / [`flames_fuzzy::simd::add4`]
+    /// four entries per step, with the scalar fold as the tail for the
+    /// last 1–3 entries. The association order per row is the plain
+    /// [`PropState::each_combo`] fold's — `(prefix + vᵢ·coef_last)·(−1/coef)`
+    /// — so every emitted row is bit-identical to it, including the
+    /// 64-row enumeration cap cutting mid-stream (pinned by a unit
+    /// test). A direction with no source quantity emits its one
+    /// constant row.
     fn combos_wide_linear(
         &self,
         bias: f64,
@@ -1407,10 +1375,17 @@ impl PropState {
         tnorm: TNorm,
         out: &mut Vec<(FuzzyInterval, Env, f64, bool)>,
     ) {
-        use flames_fuzzy::simd::{add4, scale4, Traps4};
         const COMBO_CAP: usize = 64;
         let arity = dir.quantities.len();
-        debug_assert!(arity >= 1);
+        if arity == 0 {
+            out.push((
+                FuzzyInterval::crisp(bias).scaled(dir.neg_inv_coef),
+                base_env.clone(),
+                1.0,
+                false,
+            ));
+            return;
+        }
         let last = &self.entries[dir.quantities[arity - 1].index()];
         if last.is_empty() {
             return;
@@ -1528,8 +1503,9 @@ impl PropState {
         let mut tally = [0u64; 4];
         // Grades the (rare) conflicting coincidence for entry `i`, with
         // the degree-of-overlap `pi` and `conflict = 1 − pi` already in
-        // hand — `pi` comes out bit-identical whether the classification
-        // ran scalar or 4-wide, so both routes share this body.
+        // hand — `pi` comes out bit-identical whether the entry was
+        // classified in a 4-wide group or in the scalar tail, so both
+        // routes share this body.
         let push_conflict =
             |i: usize,
              kind: CoincidenceKind,
@@ -1564,74 +1540,69 @@ impl PropState {
                 ));
             };
         let mut i0 = 0usize;
-        if self.wide {
-            // 4-wide classification straight off the label columns. All
-            // lane arithmetic mirrors the scalar expressions bit for bit
-            // (see `flames_fuzzy::simd`), so records, tallies and the
-            // dominance verdict match the scalar tail — which is also
-            // what keeps lane runs byte-identical to solo runs.
-            use flames_fuzzy::simd::{included4, ne4, possibility4, width4, Traps4, W4};
-            let inc4 = Traps4::splat(&incoming.value);
-            let zero = W4::splat(0.0);
-            let one = W4::splat(1.0);
-            let thr = W4::splat(config.conflict_threshold);
-            let om = W4::splat(1.0 - config.min_tightening);
-            let inc_w4 = W4::splat(inc_width);
-            let inc_deg = W4::splat(incoming.degree - 1e-12);
-            let mut sig_groups = 0u64;
-            while i0 + 4 <= list.len() {
-                let ev = Traps4::load(&list.m1, &list.m2, &list.alpha, &list.beta, i0);
-                let inc_in_ev = included4(&inc4, &ev);
-                let ev_in_inc = included4(&ev, &inc4);
-                let nested = inc_in_ev.or(ev_in_inc);
-                let pi = possibility4(&inc4, &ev);
-                let conflict = W4::select(nested, zero, one.sub(pi));
-                let noise = conflict.le(thr);
-                let split = noise.and(nested).and(ne4(&inc4, &ev));
-                let total = noise.not().and(pi.le(zero));
-                for l in 0..4 {
-                    let kind_slot = if noise.lane(l) {
-                        usize::from(split.lane(l))
-                    } else {
-                        3 - usize::from(!total.lane(l))
-                    };
-                    tally[kind_slot] += 1;
-                }
-                if !noise.all() {
-                    for l in 0..4 {
-                        if noise.lane(l) {
-                            continue;
-                        }
-                        let kind = if total.lane(l) {
-                            CoincidenceKind::TotalConflict
-                        } else {
-                            CoincidenceKind::PartialConflict
-                        };
-                        push_conflict(i0 + l, kind, pi.lane(l), conflict.lane(l), &mut conflicts);
-                    }
-                }
-                // Dominance prefilter, 4 signatures per step: candidate
-                // lanes must pass the word test, the degree bound and
-                // the width/inclusion geometry before the (expensive)
-                // bitset subset walk runs scalar.
-                sig_groups += 1;
-                let sig: &[u64; 4] = list.sig[i0..i0 + 4].try_into().expect("4-lane window");
-                let deg_ok = W4::load(&list.degree, i0).ge(inc_deg);
-                let meaningful = inc_w4.le(width4(&ev).mul(om));
-                let geom = ev_in_inc.or(meaningful.not().and(inc_in_ev));
-                let cand = deg_ok.and(geom);
-                for (l, &s) in sig.iter().enumerate() {
-                    if s & !inc_sig == 0
-                        && cand.lane(l)
-                        && list.env(i0 + l).is_subset_of(&incoming.env)
-                    {
-                        dominated = true;
-                    }
-                }
-                i0 += 4;
+        // 4-wide classification straight off the label columns. All
+        // lane arithmetic mirrors the scalar expressions bit for bit
+        // (see `flames_fuzzy::simd` and its differential suite), so
+        // records, tallies and the dominance verdict match what the
+        // scalar tail computes for the last 1–3 entries.
+        let inc4 = Traps4::splat(&incoming.value);
+        let zero = W4::splat(0.0);
+        let one = W4::splat(1.0);
+        let thr = W4::splat(config.conflict_threshold);
+        let om = W4::splat(1.0 - config.min_tightening);
+        let inc_w4 = W4::splat(inc_width);
+        let inc_deg = W4::splat(incoming.degree - 1e-12);
+        let mut sig_groups = 0u64;
+        while i0 + 4 <= list.len() {
+            let ev = Traps4::load(&list.m1, &list.m2, &list.alpha, &list.beta, i0);
+            let inc_in_ev = included4(&inc4, &ev);
+            let ev_in_inc = included4(&ev, &inc4);
+            let nested = inc_in_ev.or(ev_in_inc);
+            let pi = possibility4(&inc4, &ev);
+            let conflict = W4::select(nested, zero, one.sub(pi));
+            let noise = conflict.le(thr);
+            let split = noise.and(nested).and(ne4(&inc4, &ev));
+            let total = noise.not().and(pi.le(zero));
+            for l in 0..4 {
+                let kind_slot = if noise.lane(l) {
+                    usize::from(split.lane(l))
+                } else {
+                    3 - usize::from(!total.lane(l))
+                };
+                tally[kind_slot] += 1;
             }
-            flames_obs::metrics().sig_prefilter_vec.add(sig_groups);
+            if !noise.all() {
+                for l in 0..4 {
+                    if noise.lane(l) {
+                        continue;
+                    }
+                    let kind = if total.lane(l) {
+                        CoincidenceKind::TotalConflict
+                    } else {
+                        CoincidenceKind::PartialConflict
+                    };
+                    push_conflict(i0 + l, kind, pi.lane(l), conflict.lane(l), &mut conflicts);
+                }
+            }
+            // Dominance prefilter, 4 signatures per step: candidate
+            // lanes must pass the word test, the degree bound and
+            // the width/inclusion geometry before the (expensive)
+            // bitset subset walk runs scalar.
+            sig_groups += 1;
+            let sig: &[u64; 4] = list.sig[i0..i0 + 4].try_into().expect("4-lane window");
+            let deg_ok = W4::load(&list.degree, i0).ge(inc_deg);
+            let meaningful = inc_w4.le(width4(&ev).mul(om));
+            let geom = ev_in_inc.or(meaningful.not().and(inc_in_ev));
+            let cand = deg_ok.and(geom);
+            for (l, &s) in sig.iter().enumerate() {
+                if s & !inc_sig == 0 && cand.lane(l) && list.env(i0 + l).is_subset_of(&incoming.env)
+                {
+                    dominated = true;
+                }
+            }
+            i0 += 4;
         }
+        flames_obs::metrics().sig_prefilter_vec.add(sig_groups);
         for i in i0..list.len() {
             let evalue = list.value(i);
             let nested =
@@ -1717,36 +1688,33 @@ impl PropState {
         {
             let list = &self.entries[q.index()];
             let mut k0 = 0usize;
-            if self.wide {
-                // Reversed-direction prefilter (incoming ⊆ existing needs
-                // `inc_sig & !sig == 0`): degree, inclusion and width run
-                // 4-wide; only lanes passing everything cheap pay the
-                // scalar bitset subset walk.
-                use flames_fuzzy::simd::{included4, width4, Traps4, W4};
-                let inc4 = Traps4::splat(&incoming.value);
-                let om = W4::splat(1.0 - min_tightening);
-                let inc_w4 = W4::splat(inc_width);
-                let inc_deg = W4::splat(incoming.degree);
-                let eps = W4::splat(1e-12);
-                let mut sig_groups = 0u64;
-                while k0 + 4 <= list.len() {
-                    let ev = Traps4::load(&list.m1, &list.m2, &list.alpha, &list.beta, k0);
-                    let deg_ok = inc_deg.ge(W4::load(&list.degree, k0).sub(eps));
-                    let tighter = inc_w4.le(width4(&ev).mul(om));
-                    let cand = deg_ok.and(included4(&inc4, &ev)).and(tighter);
-                    sig_groups += 1;
-                    let sig: &[u64; 4] = list.sig[k0..k0 + 4].try_into().expect("4-lane window");
-                    for (l, &s) in sig.iter().enumerate() {
-                        keep.push(
-                            !(inc_sig & !s == 0
-                                && cand.lane(l)
-                                && incoming.env.is_subset_of(list.env(k0 + l))),
-                        );
-                    }
-                    k0 += 4;
+            // Reversed-direction prefilter (incoming ⊆ existing needs
+            // `inc_sig & !sig == 0`): degree, inclusion and width run
+            // 4-wide; only lanes passing everything cheap pay the
+            // scalar bitset subset walk.
+            let inc4 = Traps4::splat(&incoming.value);
+            let om = W4::splat(1.0 - min_tightening);
+            let inc_w4 = W4::splat(inc_width);
+            let inc_deg = W4::splat(incoming.degree);
+            let eps = W4::splat(1e-12);
+            let mut sig_groups = 0u64;
+            while k0 + 4 <= list.len() {
+                let ev = Traps4::load(&list.m1, &list.m2, &list.alpha, &list.beta, k0);
+                let deg_ok = inc_deg.ge(W4::load(&list.degree, k0).sub(eps));
+                let tighter = inc_w4.le(width4(&ev).mul(om));
+                let cand = deg_ok.and(included4(&inc4, &ev)).and(tighter);
+                sig_groups += 1;
+                let sig: &[u64; 4] = list.sig[k0..k0 + 4].try_into().expect("4-lane window");
+                for (l, &s) in sig.iter().enumerate() {
+                    keep.push(
+                        !(inc_sig & !s == 0
+                            && cand.lane(l)
+                            && incoming.env.is_subset_of(list.env(k0 + l))),
+                    );
                 }
-                flames_obs::metrics().sig_prefilter_vec.add(sig_groups);
+                k0 += 4;
             }
+            flames_obs::metrics().sig_prefilter_vec.add(sig_groups);
             for i in k0..list.len() {
                 keep.push(
                     !(inc_sig & !list.sig(i) == 0
@@ -2071,5 +2039,133 @@ mod tests {
         let a = run_board(&mut legacy, &network, &nl);
         let b = run_board(&mut shared, &network, &nl);
         assert_eq!(a, b, "filters survive reset");
+    }
+
+    /// The scalar definition of one Linear direction's rows: a plain
+    /// fold over every [`PropState::each_combo`] row —
+    /// `target = −(bias + Σ coef_j · v_j) / coef` — the reference
+    /// [`PropState::combos_wide_linear`] must reproduce bit for bit.
+    fn linear_rows_by_fold(
+        state: &PropState,
+        bias: f64,
+        dir: &flames_circuit::compile::LinearDirection,
+        base_env: &Env,
+        tnorm: TNorm,
+    ) -> Vec<(FuzzyInterval, Env, f64, bool)> {
+        let mut out = Vec::new();
+        state.each_combo(&dir.quantities, |row| {
+            let mut sum = FuzzyInterval::crisp(bias);
+            let mut env = base_env.clone();
+            let mut degree = 1.0;
+            let mut measured = false;
+            for (&(coef, _), entry) in dir.others.iter().zip(row) {
+                sum = sum + entry.value.scaled(coef);
+                env.union_with(entry.env);
+                degree = tnorm.combine(degree, entry.degree);
+                measured |= entry.measured;
+            }
+            out.push((sum.scaled(dir.neg_inv_coef), env, degree, measured));
+        });
+        out
+    }
+
+    fn row_bits(rows: &[(FuzzyInterval, Env, f64, bool)]) -> Vec<([u64; 4], Env, u64, bool)> {
+        rows.iter()
+            .map(|(v, env, degree, measured)| {
+                (
+                    [
+                        v.core_lo().to_bits(),
+                        v.core_hi().to_bits(),
+                        v.spread_left().to_bits(),
+                        v.spread_right().to_bits(),
+                    ],
+                    env.clone(),
+                    degree.to_bits(),
+                    *measured,
+                )
+            })
+            .collect()
+    }
+
+    /// The 4-wide Linear apply emits exactly the rows of the scalar fold,
+    /// in the same order: full 4-groups, 1–3-entry tails, prefix
+    /// odometers of arity 2 and 3, the sourceless constant direction,
+    /// both coefficient signs, both t-norms, and the 64-row `COMBO_CAP`
+    /// cutting at a group boundary, inside a tail, and in the middle of
+    /// a 4-group (6 × 11 entries stop at entry 9 of the last prefix).
+    #[test]
+    fn wide_linear_rows_match_the_scalar_fold() {
+        let (nl, network) = divider(0.05);
+        let prop = Propagator::new(&nl, &network, PropagatorConfig::default());
+        assert!(network.quantity_count() >= 3);
+        let mut seed = 0x5EED_u64;
+        let mut next = move || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let shapes: [&[usize]; 12] = [
+            &[],
+            &[1],
+            &[2],
+            &[3],
+            &[4],
+            &[11],
+            &[3, 7],
+            &[6, 11],
+            &[5, 14],
+            &[3, 3, 9],
+            &[2, 4, 10],
+            &[2, 3, 13],
+        ];
+        let mut rows_seen = 0;
+        for lens in shapes {
+            let mut state = prop.snapshot_state();
+            let quantities: Vec<QuantityId> = (0..lens.len()).map(QuantityId::from_raw).collect();
+            for (q, &len) in quantities.iter().zip(lens) {
+                let cols = &mut state.entries[q.index()];
+                cols.clear();
+                for _ in 0..len {
+                    let m1 = next() * 20.0 - 10.0;
+                    cols.push(ValueEntry {
+                        value: FuzzyInterval::new(m1, m1 + next() * 3.0, next(), next())
+                            .expect("valid trapezoid"),
+                        env: Env::from_ids((0..3).filter(|_| next() < 0.5).map(|k| k * 2)),
+                        degree: 0.3 + 0.7 * next(),
+                        measured: next() < 0.3,
+                    });
+                }
+            }
+            for tnorm in [TNorm::Min, TNorm::Product] {
+                for sign in [1.0, -1.0] {
+                    let others: Vec<(f64, QuantityId)> = quantities
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &q)| (if j % 2 == 0 { sign } else { -sign } * (0.5 + next()), q))
+                        .collect();
+                    let dir = flames_circuit::compile::LinearDirection {
+                        target: QuantityId::from_raw(lens.len()),
+                        neg_inv_coef: -1.0 / (sign * (0.25 + next())),
+                        others,
+                        quantities: quantities.clone(),
+                    };
+                    let bias = next() - 0.5;
+                    let base_env = Env::from_ids([1, 5]);
+                    let mut wide = Vec::new();
+                    state.combos_wide_linear(bias, &dir, &base_env, tnorm, &mut wide);
+                    let fold = linear_rows_by_fold(&state, bias, &dir, &base_env, tnorm);
+                    assert_eq!(
+                        wide.len(),
+                        lens.iter().product::<usize>().min(64),
+                        "{lens:?}: row count"
+                    );
+                    assert_eq!(row_bits(&wide), row_bits(&fold), "{lens:?}: rows diverge");
+                    rows_seen += wide.len();
+                }
+            }
+        }
+        assert!(rows_seen > 1_000);
     }
 }

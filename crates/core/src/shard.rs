@@ -29,8 +29,8 @@
 //!   by the same dominance rules as internal derivations, so rounds
 //!   converge.
 //! * [`ShardReport`] — the merged diagnosis: per-point consistencies,
-//!   globally renamed nogoods merged into a Pareto-minimal
-//!   [`ShardedAtms`] store, and ranked candidates over the union of
+//!   globally renamed nogoods merged into one Pareto-minimal
+//!   [`FuzzyAtms`] store, and ranked candidates over the union of
 //!   shard conflicts. Pareto minimality and the candidate ranking are
 //!   order-invariant over the nogood *set*, which is why the ranked
 //!   output does not depend on the shard count — the workspace gates
@@ -39,7 +39,7 @@
 use crate::engine::{Candidate, PointReport};
 use crate::propagation::{CompiledSchedule, PropState, Propagator, PropagatorConfig};
 use crate::Result;
-use flames_atms::{Env, RankedDiagnosis, ShardMap, ShardedAtms};
+use flames_atms::{Env, FuzzyAtms, RankedDiagnosis, ShardMap};
 use flames_circuit::compile::RegionPartition;
 use flames_circuit::constraint::{Network, QuantityId};
 use flames_circuit::predict::TestPoint;
@@ -170,7 +170,7 @@ impl ShardedModel {
                 );
                 let sub = partition.shard_network(&network, &flags);
                 let include = partition.comp_in_shard(&flags);
-                let schedule = CompiledSchedule::build_restricted(&netlist, &sub, config, &include);
+                let schedule = CompiledSchedule::build_restricted(&netlist, &sub, &include);
                 Shard {
                     network: sub,
                     schedule,
@@ -221,13 +221,13 @@ impl ShardedModel {
                         .map(|c| global.component_assumption(c.index())),
                 );
                 for &s in &point_shards[idx] {
-                    let local = localize_into(&mut maps[s], &mut props[s], &global, &global_env);
+                    let local = localize_into(&mut maps[s], &mut props[s], &global_env);
                     props[s]
                         .insert_external(q, *pred, local, 1.0, false)
                         .expect("test-point quantities exist in every shard network");
                 }
             }
-            exchange_to_quiescence(&mut props, &mut maps, &routes, &global);
+            exchange_to_quiescence(&mut props, &mut maps, &routes);
             (props.iter().map(Propagator::snapshot_state).collect(), maps)
         };
 
@@ -302,16 +302,10 @@ impl ShardedModel {
 }
 
 /// Renames a global env into a shard's vocabulary, interning unseen
-/// assumptions into the shard's session ATMS under their global names.
-fn localize_into(
-    map: &mut ShardMap,
-    prop: &mut Propagator<'_>,
-    global: &CompiledSchedule,
-    env: &Env,
-) -> Env {
-    map.localize(env, |g| {
-        prop.register_assumption(global.pool().name(g).unwrap_or("?"))
-    })
+/// assumptions into the shard's session ATMS (reports name them through
+/// the global vocabulary).
+fn localize_into(map: &mut ShardMap, prop: &mut Propagator<'_>, env: &Env) -> Env {
+    map.localize(env, |_| prop.register_assumption())
 }
 
 /// Runs every shard to local quiescence, then exchanges boundary value
@@ -321,7 +315,6 @@ fn exchange_to_quiescence(
     props: &mut [Propagator<'_>],
     maps: &mut [ShardMap],
     routes: &[(QuantityId, Vec<usize>)],
-    global: &CompiledSchedule,
 ) -> usize {
     let metrics = flames_obs::metrics();
     let mut steps = 0usize;
@@ -346,8 +339,7 @@ fn exchange_to_quiescence(
                         if dst == src {
                             continue;
                         }
-                        let local =
-                            localize_into(&mut maps[dst], &mut props[dst], global, &global_env);
+                        let local = localize_into(&mut maps[dst], &mut props[dst], &global_env);
                         let inserted = props[dst]
                             .insert_external(*q, entry.value, local, entry.degree, entry.measured)
                             .expect("boundary quantity ids are global");
@@ -379,7 +371,7 @@ fn exchange_to_quiescence(
                         continue;
                     }
                     let before = props[dst].atms().nogood_epoch();
-                    let local = localize_into(&mut maps[dst], &mut props[dst], global, env);
+                    let local = localize_into(&mut maps[dst], &mut props[dst], env);
                     props[dst].add_nogood(local, *degree);
                     if props[dst].atms().nogood_epoch() != before {
                         changed = true;
@@ -465,18 +457,13 @@ impl ShardedSession<'_> {
     /// shard, boundary-entry and nogood exchange between rounds. Returns
     /// the total number of constraint applications across shards.
     pub fn propagate(&mut self) -> usize {
-        exchange_to_quiescence(
-            &mut self.props,
-            &mut self.maps,
-            &self.model.routes,
-            &self.model.global,
-        )
+        exchange_to_quiescence(&mut self.props, &mut self.maps, &self.model.routes)
     }
 
     /// The merged, globally renamed nogood store (Pareto-minimal).
     #[must_use]
-    pub fn merged_nogoods(&self) -> ShardedAtms {
-        let mut merged = ShardedAtms::new();
+    pub fn merged_nogoods(&self) -> FuzzyAtms {
+        let mut merged = FuzzyAtms::new();
         for (prop, map) in self.props.iter().zip(&self.maps) {
             for n in prop.atms().nogoods() {
                 merged.add_nogood(map.globalize(&n.env), n.degree);
@@ -490,8 +477,8 @@ impl ShardedSession<'_> {
     pub fn report(&self) -> ShardReport {
         let model = self.model;
         // Grade every measured point in one batch through the 4-wide Dc
-        // kernel (scalar-tail math identical, so reports match the
-        // forced-scalar mode byte for byte).
+        // kernel (tail pairs take the identical splatted lane math), the
+        // same grading as the flat engine's report.
         let mut vms = Vec::with_capacity(self.measured.len());
         let mut vns = Vec::with_capacity(self.measured.len());
         for (idx, m) in self.measured.iter().enumerate() {

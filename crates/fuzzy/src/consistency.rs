@@ -72,6 +72,10 @@ pub struct Consistency {
 /// exact PWL intersection.
 const FULL_CONSISTENCY_EPS: f64 = 1e-9;
 
+/// Pairs [`Consistency::between_batch`] transposes into its stack column
+/// block at a time (a multiple of the lane width).
+const BATCH_BLOCK: usize = 32;
+
 impl Consistency {
     /// Snaps near-1 degrees to exactly 1 and derives the deviation
     /// direction from the defuzzified centers — shared by every
@@ -125,11 +129,11 @@ impl Consistency {
     /// centroid ordering); the snap-to-1 blend and the direction pick
     /// are mask selects and a table index, so grading costs the same
     /// on every input mix — no data-dependent branches to mispredict
-    /// on conflict-heavy corpora. Both dispatch modes route through
-    /// this function (the forced-scalar path splats one pair across
-    /// the lanes), which is what makes their outputs bit-identical
-    /// structurally.
-    #[inline(always)]
+    /// on conflict-heavy corpora. Full groups and the splatted tail
+    /// pairs both route through this function, which is what makes
+    /// their outputs bit-identical structurally. Kept out of line: inlined
+    /// next to the kernel it measured slower in the batch loop.
+    #[inline(never)]
     fn graded4(
         tm: &crate::simd::Traps4,
         tn: &crate::simd::Traps4,
@@ -149,12 +153,11 @@ impl Consistency {
         })
     }
 
-    /// One pair through the 4-wide kernel (splatted): the scalar-mode
-    /// unit of [`Consistency::between_batch`]. Because every [`W4`] op
-    /// is four independent scalar lane expressions, the lane-0 result
-    /// is bit-identical to the same pair evaluated inside a full
-    /// 4-wide group — which is what keeps reports byte-identical
-    /// between the SIMD and forced-scalar modes.
+    /// One pair through the 4-wide kernel (splatted): the tail unit of
+    /// [`Consistency::between_batch`]. Because every [`W4`] op is four
+    /// independent scalar lane expressions, the lane-0 result is
+    /// bit-identical to the same pair evaluated inside a full 4-wide
+    /// group — so a pair grades the same whichever batch it lands in.
     ///
     /// [`W4`]: crate::simd::W4
     #[inline]
@@ -167,16 +170,15 @@ impl Consistency {
 
     /// Batch degree of consistency: `out[i] = Dc(vms[i], vns[i])`,
     /// evaluated four pairs per step through the branch-free
-    /// [`crate::simd::dc4`] kernel when the wide dispatch is enabled,
-    /// and pair-at-a-time through the identical lane math otherwise
-    /// (`FLAMES_FORCE_SCALAR=1`). Results are bit-identical across the
-    /// two modes, and agree with the scalar oracle
-    /// [`Consistency::between`] to ≤ 1e-12 in degree with equal
-    /// direction (differential-tested over the 10k corner-mix corpus).
+    /// [`crate::simd::dc4`] kernel, with the `len % 4` tail evaluated
+    /// pair-at-a-time through the identical (splatted) lane math. A
+    /// pair's result is bit-identical whichever route it takes, and
+    /// agrees with the scalar oracle [`Consistency::between`] to
+    /// ≤ 1e-12 in degree with equal direction (differential-tested over
+    /// the 10k corner-mix corpus).
     ///
     /// Counters: `fuzzy.dc_simd_batch` per full 4-pair group,
-    /// `fuzzy.dc_scalar_tail` per pair evaluated outside a full group
-    /// (the `len % 4` tail, or everything in forced-scalar mode).
+    /// `fuzzy.dc_scalar_tail` per tail pair.
     ///
     /// # Panics
     ///
@@ -186,63 +188,41 @@ impl Consistency {
         let n = vms.len();
         out.clear();
         out.reserve(n);
-        let mut groups = 0u64;
-        let mut i = 0;
-        if crate::simd::enabled() {
-            while i + 4 <= n {
-                let tm = crate::simd::Traps4::gather(vms, i);
-                let tn = crate::simd::Traps4::gather(vns, i);
+        let grouped = n - n % 4;
+        // Transpose a block of rows into stack columns, then stream the
+        // columns through the kernel with contiguous 4-lane loads.
+        // Assembling lanes straight from four rows makes the kernel's
+        // vector loads wait on the scalar stores that built them (store
+        // forwarding fails across sizes), which cost about as much as
+        // the kernel itself.
+        let mut cols = [[0.0f64; BATCH_BLOCK]; 8];
+        for (bm, bn) in vms[..grouped]
+            .chunks(BATCH_BLOCK)
+            .zip(vns[..grouped].chunks(BATCH_BLOCK))
+        {
+            for (k, (vm, vn)) in bm.iter().zip(bn).enumerate() {
+                cols[0][k] = vm.core_lo();
+                cols[1][k] = vm.core_hi();
+                cols[2][k] = vm.spread_left();
+                cols[3][k] = vm.spread_right();
+                cols[4][k] = vn.core_lo();
+                cols[5][k] = vn.core_hi();
+                cols[6][k] = vn.spread_left();
+                cols[7][k] = vn.spread_right();
+            }
+            let [m1, m2, ma, mb, n1, n2, na, nb] = &cols;
+            for g in (0..bm.len()).step_by(4) {
+                let tm = crate::simd::Traps4::load(m1, m2, ma, mb, g);
+                let tn = crate::simd::Traps4::load(n1, n2, na, nb, g);
                 let d = crate::simd::dc4(&tm, &tn);
                 out.extend_from_slice(&Self::graded4(&tm, &tn, d));
-                groups += 1;
-                i += 4;
             }
         }
-        let tail = (n - i) as u64;
-        while i < n {
-            out.push(Self::between_one_wide(&vms[i], &vns[i]));
-            i += 1;
+        for (vm, vn) in vms[grouped..].iter().zip(&vns[grouped..]) {
+            out.push(Self::between_one_wide(vm, vn));
         }
-        let m = flames_obs::metrics();
-        m.dc_simd_batch.add(groups);
-        m.dc_scalar_tail.add(tail);
-    }
-
-    /// [`Consistency::between_batch`] straight off struct-of-arrays
-    /// trapezoid columns (no row materialization): `out[i]` is the
-    /// degree of consistency of row `i` of `vm` against row `i` of
-    /// `vn`. Same dispatch, counters and bit-identity contract as the
-    /// row-major entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any column of either operand differs in length.
-    pub fn between_columns(
-        vm: &TrapezoidColumns<'_>,
-        vn: &TrapezoidColumns<'_>,
-        out: &mut Vec<Self>,
-    ) {
-        let n = vm.len();
-        assert_eq!(n, vn.len(), "pairwise batch: equal lengths");
-        out.clear();
-        out.reserve(n);
-        let mut groups = 0u64;
-        let mut i = 0;
-        if crate::simd::enabled() {
-            while i + 4 <= n {
-                let tm = crate::simd::Traps4::load(vm.m1, vm.m2, vm.alpha, vm.beta, i);
-                let tn = crate::simd::Traps4::load(vn.m1, vn.m2, vn.alpha, vn.beta, i);
-                let d = crate::simd::dc4(&tm, &tn);
-                out.extend_from_slice(&Self::graded4(&tm, &tn, d));
-                groups += 1;
-                i += 4;
-            }
-        }
-        let tail = (n - i) as u64;
-        while i < n {
-            out.push(Self::between_one_wide(&vm.row(i), &vn.row(i)));
-            i += 1;
-        }
+        let groups = (grouped / 4) as u64;
+        let tail = (n - grouped) as u64;
         let m = flames_obs::metrics();
         m.dc_simd_batch.add(groups);
         m.dc_scalar_tail.add(tail);
@@ -345,52 +325,6 @@ impl Consistency {
             Direction::Low => -self.degree,
             _ => self.degree,
         }
-    }
-}
-
-/// Borrowed struct-of-arrays view of a run of trapezoids — the four
-/// `[m1, m2, α, β]` columns the `flames-core` label stores keep in
-/// parallel `Vec<f64>`s. [`Consistency::between_columns`] consumes two
-/// of these directly, without materializing rows.
-#[derive(Debug, Clone, Copy)]
-pub struct TrapezoidColumns<'a> {
-    /// Core lower bounds.
-    pub m1: &'a [f64],
-    /// Core upper bounds.
-    pub m2: &'a [f64],
-    /// Left spreads.
-    pub alpha: &'a [f64],
-    /// Right spreads.
-    pub beta: &'a [f64],
-}
-
-impl TrapezoidColumns<'_> {
-    /// Number of rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the columns disagree in length.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        let n = self.m1.len();
-        assert!(
-            self.m2.len() == n && self.alpha.len() == n && self.beta.len() == n,
-            "trapezoid columns must be parallel"
-        );
-        n
-    }
-
-    /// True when there are no rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materializes row `i` (the columns are trusted to come from valid
-    /// intervals, as with [`FuzzyInterval::from_columns`]).
-    #[must_use]
-    pub fn row(&self, i: usize) -> FuzzyInterval {
-        FuzzyInterval::from_columns(self.m1[i], self.m2[i], self.alpha[i], self.beta[i])
     }
 }
 

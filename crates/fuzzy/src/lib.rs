@@ -51,7 +51,7 @@ pub mod entropy;
 pub mod qualitative;
 pub mod simd;
 
-pub use consistency::{Consistency, Direction, TrapezoidColumns};
+pub use consistency::{Consistency, Direction};
 pub use error::FuzzyError;
 pub use linguistic::{LinguisticTerm, TermSet};
 pub use pwl::Pwl;

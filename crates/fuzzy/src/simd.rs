@@ -7,9 +7,10 @@
 //! SSE2/AVX instructions; because no operation mixes lanes, a value
 //! computed in lane `i` of a 4-wide call is **bit-for-bit** the value
 //! the same code computes for that pair alone (e.g. splatted across all
-//! four lanes). That lane independence is what lets the forced-scalar
-//! fallback ([`enabled`] returning `false`) reproduce the SIMD results
-//! exactly — both modes run the same per-lane expression DAG.
+//! four lanes). That lane independence is what lets a short run's tail
+//! (fewer than four entries, evaluated one splatted lane at a time)
+//! reproduce the grouped results exactly — both run the same per-lane
+//! expression DAG.
 //!
 //! The centerpiece is [`dc4`], a branch-free batch evaluation of the
 //! paper's degree of consistency `Dc = area(Vm ⊓ Vn) / area(Vm)` over
@@ -35,15 +36,6 @@
 //! by the differential suites.
 
 use crate::trapezoid::FuzzyInterval;
-
-/// Re-export of the process-wide dispatch switch: true when the wide
-/// paths are active (not forced scalar, target features present). See
-/// [`flames_obs::dispatch`].
-#[must_use]
-#[inline]
-pub fn enabled() -> bool {
-    flames_obs::wide_enabled()
-}
 
 /// Four `f64` lanes. Every method is four independent scalar lane
 /// expressions — no operation mixes lanes, so per-lane results never
@@ -297,31 +289,6 @@ impl Traps4 {
         }
     }
 
-    /// Gathers four trapezoids from a row-major slice starting at `i` —
-    /// one bounds check for the whole 4×4 row-to-column transpose, so
-    /// the loads fuse into a handful of packed shuffles.
-    #[must_use]
-    #[inline(always)]
-    pub fn gather(vs: &[FuzzyInterval], i: usize) -> Self {
-        let [a, b, c, d]: &[FuzzyInterval; 4] = vs[i..i + 4].try_into().expect("4-lane window");
-        Self {
-            m1: W4([a.core_lo(), b.core_lo(), c.core_lo(), d.core_lo()]),
-            m2: W4([a.core_hi(), b.core_hi(), c.core_hi(), d.core_hi()]),
-            alpha: W4([
-                a.spread_left(),
-                b.spread_left(),
-                c.spread_left(),
-                d.spread_left(),
-            ]),
-            beta: W4([
-                a.spread_right(),
-                b.spread_right(),
-                c.spread_right(),
-                d.spread_right(),
-            ]),
-        }
-    }
-
     /// One trapezoid splatted across all four lanes.
     #[must_use]
     #[inline(always)]
@@ -367,8 +334,9 @@ impl Traps4 {
 /// can disagree with comparing the two *rounded* scalar quotients only
 /// when the true centers are within a few ulp of each other —
 /// direction equality with the scalar oracle is differential-tested
-/// over the 10k corner-mix corpus, and both wide dispatch modes share
-/// this code, so cross-mode results stay bit-identical structurally.
+/// over the 10k corner-mix corpus, and grouped lanes and splatted tail
+/// lanes share this code, so their results stay bit-identical
+/// structurally.
 #[must_use]
 #[inline(always)]
 pub fn center_lt4(vm: &Traps4, vn: &Traps4) -> M4 {
@@ -663,9 +631,22 @@ mod tests {
                 FuzzyInterval::new(0.0, 0.5, 0.1, 0.1).unwrap(),
             ),
         ];
-        let vms: Vec<FuzzyInterval> = pairs.iter().map(|p| p.0).collect();
-        let vns: Vec<FuzzyInterval> = pairs.iter().map(|p| p.1).collect();
-        let wide = dc4(&Traps4::gather(&vms, 0), &Traps4::gather(&vns, 0));
+        let col = |f: fn(&FuzzyInterval) -> f64, side: usize| -> Vec<f64> {
+            pairs
+                .iter()
+                .map(|p| f(if side == 0 { &p.0 } else { &p.1 }))
+                .collect()
+        };
+        let load = |side| {
+            Traps4::load(
+                &col(FuzzyInterval::core_lo, side),
+                &col(FuzzyInterval::core_hi, side),
+                &col(FuzzyInterval::spread_left, side),
+                &col(FuzzyInterval::spread_right, side),
+                0,
+            )
+        };
+        let wide = dc4(&load(0), &load(1));
         for (i, (vm, vn)) in pairs.iter().enumerate() {
             let solo = dc4(&Traps4::splat(vm), &Traps4::splat(vn));
             assert_eq!(

@@ -1,15 +1,23 @@
-//! Differential suite for the 4-wide batch `Dc` kernel: the SIMD path
-//! against the scalar closed-form oracle ([`Consistency::between`]),
-//! held to ≤ 1e-12 degree agreement and direction equality, plus the
-//! dedicated tail and degenerate-input cases the lane layout makes
-//! interesting (batch sizes not divisible by 4, crisp points,
-//! zero-spread flanks, disjoint and touching supports).
+//! Differential suite for the 4-wide kernels against their scalar
+//! references, which live on as the test oracles:
+//!
+//! * the batch `Dc` kernel against the scalar closed form
+//!   ([`Consistency::between`]), held to ≤ 1e-12 degree agreement and
+//!   direction equality, plus the tail and degenerate-input cases the
+//!   lane layout makes interesting (batch sizes not divisible by 4,
+//!   crisp points, zero-spread flanks, disjoint and touching supports);
+//! * the coincidence and constraint-apply kernels the propagation
+//!   engine runs (`included4`, `possibility4`, `width4`, `ne4`,
+//!   `center_lt4`, `add4`, `scale4`) against the [`FuzzyInterval`]
+//!   methods they mirror, **bit for bit**, on the same corner corpus —
+//!   grouped lanes and the 1–3-entry tails alike.
 //!
 //! Always on (tier-1): the corpus here is a few thousand pairs, small
 //! enough for every `cargo test` run. The full 10k corner-mix corpus
 //! runs in `tests/props.rs` behind `--features proptest`.
 
-use flames_fuzzy::{Consistency, FuzzyInterval, TrapezoidColumns};
+use flames_fuzzy::simd::{add4, center_lt4, included4, ne4, possibility4, scale4, width4, Traps4};
+use flames_fuzzy::{Consistency, FuzzyInterval};
 
 /// SplitMix64, same mixer as the bench crate (tests cannot depend on it).
 struct Rng(u64);
@@ -121,10 +129,8 @@ fn batch_matches_scalar_on_corner_corpus() {
 }
 
 /// Batch sizes that are not multiples of the lane width exercise the
-/// scalar tail; whatever route a pair takes — full 4-wide group,
-/// splatted tail lane — its result must be bit-identical, which is
-/// also the SIMD-vs-forced-scalar identity (the forced-scalar mode
-/// evaluates every pair exactly like a tail pair).
+/// splatted tail; whatever route a pair takes — full 4-wide group,
+/// splatted tail lane — its result must be bit-identical.
 #[test]
 fn tail_sizes_are_bit_identical_to_singles() {
     let (vms, vns) = corner_corpus(0x7A11_2026, 23);
@@ -177,45 +183,208 @@ fn degenerate_inputs_stay_nan_free_and_match_scalar() {
     assert_matches_oracle(&vms, &vns, &out);
 }
 
-/// The columnar entry point must agree bit-for-bit with the row-major
-/// one — they load the same lanes from different layouts.
+// ----- engine kernels vs their scalar FuzzyInterval oracles ----------
+
+/// One lane of the layout the engine streams a label in: pairs
+/// `[4g, 4g + 4)` loaded as full groups from struct-of-arrays columns,
+/// the remaining 1–3 pairs splatted one at a time into lane 0.
+struct Lane {
+    a: Traps4,
+    b: Traps4,
+    lane: usize,
+    pair: usize,
+}
+
+/// The `[m1, m2, α, β]` columns of a run of trapezoids.
+fn columns(vs: &[FuzzyInterval]) -> [Vec<f64>; 4] {
+    [
+        vs.iter().map(FuzzyInterval::core_lo).collect(),
+        vs.iter().map(FuzzyInterval::core_hi).collect(),
+        vs.iter().map(FuzzyInterval::spread_left).collect(),
+        vs.iter().map(FuzzyInterval::spread_right).collect(),
+    ]
+}
+
+fn lanes(vms: &[FuzzyInterval], vns: &[FuzzyInterval]) -> Vec<Lane> {
+    let ([m1, m2, ma, mb], [n1, n2, na, nb]) = (columns(vms), columns(vns));
+    let mut out = Vec::with_capacity(vms.len());
+    let mut i = 0;
+    while i + 4 <= vms.len() {
+        let a = Traps4::load(&m1, &m2, &ma, &mb, i);
+        let b = Traps4::load(&n1, &n2, &na, &nb, i);
+        out.extend((0..4).map(|lane| Lane {
+            a,
+            b,
+            lane,
+            pair: i + lane,
+        }));
+        i += 4;
+    }
+    out.extend((i..vms.len()).map(|pair| Lane {
+        a: Traps4::splat(&vms[pair]),
+        b: Traps4::splat(&vns[pair]),
+        lane: 0,
+        pair,
+    }));
+    out
+}
+
+/// The corner corpus at a size with a 3-entry tail, plus the bare 1-,
+/// 2- and 3-entry runs (all tail, no full group).
+fn kernel_corpora() -> Vec<(Vec<FuzzyInterval>, Vec<FuzzyInterval>)> {
+    let mut corpora = vec![corner_corpus(0x5CA1_2026, 2_051)];
+    for n in 1..=3 {
+        corpora.push(corner_corpus(0x7A11_0000 + n as u64, n));
+    }
+    corpora
+}
+
+fn bits(v: &FuzzyInterval) -> [u64; 4] {
+    [
+        v.core_lo().to_bits(),
+        v.core_hi().to_bits(),
+        v.spread_left().to_bits(),
+        v.spread_right().to_bits(),
+    ]
+}
+
 #[test]
-fn columns_match_rows_bitwise() {
-    let (vms, vns) = corner_corpus(0xC015_2026, 301);
-    let unzip = |vs: &[FuzzyInterval]| {
-        (
-            vs.iter().map(FuzzyInterval::core_lo).collect::<Vec<_>>(),
-            vs.iter().map(FuzzyInterval::core_hi).collect::<Vec<_>>(),
-            vs.iter()
-                .map(FuzzyInterval::spread_left)
-                .collect::<Vec<_>>(),
-            vs.iter()
-                .map(FuzzyInterval::spread_right)
-                .collect::<Vec<_>>(),
-        )
-    };
-    let (m_m1, m_m2, m_al, m_be) = unzip(&vms);
-    let (n_m1, n_m2, n_al, n_be) = unzip(&vns);
-    let mut by_rows = Vec::new();
-    let mut by_cols = Vec::new();
-    Consistency::between_batch(&vms, &vns, &mut by_rows);
-    Consistency::between_columns(
-        &TrapezoidColumns {
-            m1: &m_m1,
-            m2: &m_m2,
-            alpha: &m_al,
-            beta: &m_be,
-        },
-        &TrapezoidColumns {
-            m1: &n_m1,
-            m2: &n_m2,
-            alpha: &n_al,
-            beta: &n_be,
-        },
-        &mut by_cols,
-    );
-    assert_eq!(by_rows.len(), by_cols.len());
-    for (r, c) in by_rows.iter().zip(&by_cols) {
-        assert!(r.degree().to_bits() == c.degree().to_bits() && r.direction() == c.direction());
+fn included4_matches_is_included_in() {
+    for (vms, vns) in kernel_corpora() {
+        for l in lanes(&vms, &vns) {
+            let (vm, vn) = (&vms[l.pair], &vns[l.pair]);
+            assert_eq!(
+                included4(&l.a, &l.b).lane(l.lane),
+                vm.is_included_in(vn),
+                "pair {}: {vm:?} in {vn:?}",
+                l.pair
+            );
+            assert_eq!(
+                included4(&l.b, &l.a).lane(l.lane),
+                vn.is_included_in(vm),
+                "pair {}: {vn:?} in {vm:?}",
+                l.pair
+            );
+        }
+    }
+}
+
+#[test]
+fn possibility4_matches_possibility_of() {
+    for (vms, vns) in kernel_corpora() {
+        for l in lanes(&vms, &vns) {
+            let (vm, vn) = (&vms[l.pair], &vns[l.pair]);
+            // Both operand orders: the engine relies on the scalar
+            // method's bitwise symmetry.
+            for (wide, scalar) in [
+                (possibility4(&l.a, &l.b), vm.possibility_of(vn)),
+                (possibility4(&l.b, &l.a), vm.possibility_of(vn)),
+            ] {
+                assert_eq!(
+                    wide.lane(l.lane).to_bits(),
+                    scalar.to_bits(),
+                    "pair {}: {vm:?} vs {vn:?}",
+                    l.pair
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn width4_matches_support_width() {
+    for (vms, vns) in kernel_corpora() {
+        for l in lanes(&vms, &vns) {
+            assert_eq!(
+                width4(&l.a).lane(l.lane).to_bits(),
+                vms[l.pair].support_width().to_bits(),
+                "pair {}",
+                l.pair
+            );
+        }
+    }
+}
+
+#[test]
+fn ne4_matches_partial_eq() {
+    for (vms, mut vns) in kernel_corpora() {
+        // Exact twins (and a signed-zero twin) so `==` lanes occur.
+        for (k, vn) in vns.iter_mut().enumerate().step_by(5) {
+            *vn = vms[k];
+        }
+        vns[0] = FuzzyInterval::crisp(-0.0);
+        let mut vms = vms;
+        vms[0] = FuzzyInterval::crisp(0.0);
+        let mut equal = 0;
+        for l in lanes(&vms, &vns) {
+            let (vm, vn) = (&vms[l.pair], &vns[l.pair]);
+            equal += usize::from(vm == vn);
+            assert_eq!(
+                ne4(&l.a, &l.b).lane(l.lane),
+                vm != vn,
+                "pair {}: {vm:?} vs {vn:?}",
+                l.pair
+            );
+        }
+        assert!(equal > 0, "the corpus must exercise equal pairs");
+    }
+}
+
+#[test]
+fn center_lt4_matches_centroid_order() {
+    for (vms, vns) in kernel_corpora() {
+        for l in lanes(&vms, &vns) {
+            let (vm, vn) = (&vms[l.pair], &vns[l.pair]);
+            assert_eq!(
+                center_lt4(&l.a, &l.b).lane(l.lane),
+                vm.centroid() < vn.centroid(),
+                "pair {}: {vm:?} vs {vn:?}",
+                l.pair
+            );
+        }
+    }
+}
+
+#[test]
+fn add4_matches_add() {
+    for (vms, vns) in kernel_corpora() {
+        for l in lanes(&vms, &vns) {
+            let (vm, vn) = (vms[l.pair], vns[l.pair]);
+            assert_eq!(
+                bits(&add4(&l.a, &l.b).lane(l.lane)),
+                bits(&(vm + vn)),
+                "pair {}: {vm:?} + {vn:?}",
+                l.pair
+            );
+        }
+    }
+}
+
+#[test]
+fn scale4_matches_scaled_for_both_signs() {
+    let mut r = Rng(0x5CA1_E000);
+    for (vms, vns) in kernel_corpora() {
+        for l in lanes(&vms, &vns) {
+            // One coefficient per lane group, as in a constraint
+            // direction: positive, negative, zero and unit cases.
+            for k in [r.range(0.0, 4.0), -r.range(0.0, 4.0), 0.0, 1.0, -1.0, -0.5] {
+                assert_eq!(
+                    bits(&scale4(&l.a, k).lane(l.lane)),
+                    bits(&vms[l.pair].scaled(k)),
+                    "pair {}: {:?} scaled by {k}",
+                    l.pair,
+                    vms[l.pair]
+                );
+            }
+            // The constraint-apply chain `(p + v·c)·(−1/c')`.
+            let c = -r.range(0.1, 3.0);
+            let inv = -1.0 / r.range(0.1, 3.0);
+            assert_eq!(
+                bits(&scale4(&add4(&l.b, &scale4(&l.a, c)), inv).lane(l.lane)),
+                bits(&(vns[l.pair] + vms[l.pair].scaled(c)).scaled(inv)),
+                "pair {}: apply chain",
+                l.pair
+            );
+        }
     }
 }

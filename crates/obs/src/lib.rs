@@ -19,13 +19,11 @@
 //!   parser used to validate exported traces in tests.
 
 pub mod counter;
-pub mod dispatch;
 pub mod json;
 pub mod registry;
 pub mod trace;
 
 pub use counter::{Counter, Gauge};
-pub use dispatch::wide_enabled;
 pub use registry::{metrics, MetricsSnapshot, METRIC_NAMES};
 pub use trace::{ArgValue, Trace, TraceEvent};
 

@@ -49,8 +49,6 @@ define_metrics! {
     env_intern_misses => "atms.env_intern_misses",
     subsumption_checks => "atms.subsumption_checks",
     prefilter_rejects => "atms.prefilter_rejects",
-    label_merges => "atms.label_merges",
-    label_updates => "atms.label_updates",
     nogood_installs => "atms.nogood_installs",
     nogood_subsumed => "atms.nogood_subsumed",
     hitting_expansions => "atms.hitting_expansions",
@@ -66,8 +64,8 @@ define_metrics! {
     // Propagation engine ----------------------------------------------
     waves => "core.waves",
     constraint_apps => "core.constraint_apps",
-    // Wide-dispatch prefilters (lane-mode dependent, hence the own
-    // prefix: excluded from the thread-count invariance assertions that
+    // 4-wide signature prefilter groups of the coincidence scans (own
+    // prefix: kept out of the thread-count invariance assertions that
     // cover `atms.` / `core.`).
     sig_prefilter_vec => "prop.sig_prefilter_vec",
     corroborations => "core.coincidence_corroborations",
@@ -207,12 +205,12 @@ mod tests {
     #[test]
     fn delta_reflects_increments() {
         let before = MetricsSnapshot::capture();
-        metrics().label_merges.add(3);
+        metrics().candidates_rebuilt.add(3);
         let delta = MetricsSnapshot::capture().delta_since(&before);
         let expect = if cfg!(feature = "enabled") { 3 } else { 0 };
         // Another test may also touch the counter concurrently; the
         // delta is at least ours.
-        assert!(delta.get("atms.label_merges") >= expect);
+        assert!(delta.get("atms.candidates_rebuilt") >= expect);
     }
 
     #[test]

@@ -47,16 +47,13 @@ run_gate() {
     rm -f "$json.prev"
 }
 
-echo "==> exp_perf (ATMS kernel gate: results equal, >= 2x on every workload)"
+echo "==> exp_perf (nogood-store kernel gate: results equal, nogood installs and hitting sets >= 2x)"
 run_gate exp_perf BENCH_atms.json
 
 echo "==> exp_batch (serving gate: byte-identical reports, warm pool >= 1.5x cold)"
 run_gate exp_batch BENCH_batch.json
 
-echo "==> exp_dc under FLAMES_FORCE_SCALAR=1 (scalar fallback: exactness + lane determinism + >= 0.9x floor)"
-FLAMES_FORCE_SCALAR=1 cargo run -q --release -p flames-bench --bin exp_dc
-
-echo "==> exp_dc (conflict gate: closed-form Dc exact, batch Dc >= 2x, lanes byte-identical and >= 1.15x)"
+echo "==> exp_dc (conflict gate: closed-form Dc exact, batch Dc >= 2x, lanes byte-identical and >= 0.9x)"
 run_gate exp_dc BENCH_dc.json
 
 echo "==> exp_strategy (planning gate: incremental candidates and probe planning >= 3x, byte-identical across threads, full loop no-regression)"

@@ -70,9 +70,9 @@ fn fig5_degrees_and_candidates() {
     assert!(close(spec.membership(200.0), 0.0, 1e-9));
 
     let mut atms = FuzzyAtms::new();
-    let d1 = atms.add_assumption("d1");
-    let r1 = atms.add_assumption("r1");
-    let r2 = atms.add_assumption("r2");
+    let d1 = atms.add_assumption();
+    let r1 = atms.add_assumption();
+    let r2 = atms.add_assumption();
     atms.add_nogood(Env::from_assumptions([r1, d1]), 0.5);
     atms.add_nogood(Env::from_assumptions([r2, d1]), 1.0);
 

@@ -81,8 +81,6 @@ fn kernel_counter_deltas_are_thread_count_invariant() {
     let moved = rows[0].iter().any(|&(_, v)| v > 0);
     assert_eq!(moved, flames::obs::enabled());
     if flames::obs::enabled() {
-        // (`atms.label_merges` is deliberately absent: node-label
-        // propagation runs at model-compile time, not while serving.)
         for name in [
             "atms.env_intern_hits",
             "atms.nogood_installs",
