@@ -156,26 +156,20 @@ fn main() {
 
     // ----- timing ----------------------------------------------------
     let h = Harness::new("exp_batch").with_budget(Duration::from_millis(500));
-    // The pool persists across iterations: steady-state warm serving.
-    // Cold and warm are timed in interleaved rounds, so host drift
-    // cancels in the gated ratio instead of landing on one side.
-    let mut pool = SessionPool::new(&diagnoser);
-    pool.warm(1);
-    let pair = h.bench_pair(
-        "cold_1_thread",
-        "warm_pool_1_thread",
-        || black_box(run_cold(&diagnoser, &boards)),
-        || black_box(run_warm(&mut pool, &boards)),
-    );
     let cold = Row {
         name: "cold_1_thread",
         threads: 1,
-        ns_per_batch: pair.a_ns,
+        ns_per_batch: h.bench("cold_1_thread", || black_box(run_cold(&diagnoser, &boards))),
     };
+    // The pool persists across iterations: steady-state warm serving.
+    let mut pool = SessionPool::new(&diagnoser);
+    pool.warm(1);
     let warm = Row {
         name: "warm_pool_1_thread",
         threads: 1,
-        ns_per_batch: pair.b_ns,
+        ns_per_batch: h.bench("warm_pool_1_thread", || {
+            black_box(run_warm(&mut pool, &boards))
+        }),
     };
     let batch = Row {
         name: "batch_n_threads",
@@ -204,7 +198,7 @@ fn main() {
             )
         })
         .collect();
-    let warm_speedup = pair.a_over_b;
+    let warm_speedup = rows[1].boards_per_sec() / rows[0].boards_per_sec();
     let parallel_scaling = rows[2].boards_per_sec() / rows[1].boards_per_sec();
 
     // Counter deltas over one untimed warm-pool pass of the fleet — the

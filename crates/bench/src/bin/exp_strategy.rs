@@ -471,25 +471,17 @@ fn main() {
     // §10–11), so these rows are no-regression bounds; the ≥3× claim is
     // gated on the planning component below, where the two paths
     // actually differ.
-    // The two paths are timed in interleaved rounds, so host drift
-    // cancels in the gated ratio instead of landing on one side.
     let hp = Harness::new("exp_strategy").with_budget(Duration::from_secs(2));
     let mut rows = Vec::new();
     for w in [&amp, &casc, &ladder] {
         let runs = (w.boards.len() * 2) as f64;
-        let pair = hp.bench_pair(
-            &format!("probe_loop/{}/oracle", w.label),
-            &format!("probe_loop/{}/fast", w.label),
-            || black_box(run_oracle(w)),
-            || black_box(run_fast(w, 1)),
-        );
-        rows.push((
-            w.label,
-            runs,
-            pair.b_ns / runs,
-            pair.a_ns / runs,
-            pair.a_over_b,
-        ));
+        let fast_ns = hp.bench(&format!("probe_loop/{}/fast", w.label), || {
+            black_box(run_fast(w, 1))
+        }) / runs;
+        let oracle_ns = hp.bench(&format!("probe_loop/{}/oracle", w.label), || {
+            black_box(run_oracle(w))
+        }) / runs;
+        rows.push((w.label, runs, fast_ns, oracle_ns, oracle_ns / fast_ns));
     }
 
     // ----- timing: the planning component of those same loops ----------
