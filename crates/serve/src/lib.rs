@@ -12,6 +12,10 @@
 //! `{"error": {...}}` taxonomy body), deadlines are honoured per
 //! request, `GET /metrics` dumps the process-wide counter table, and
 //! `GET /trace/:id` streams the Chrome trace of a completed request.
+//! The serving path builds no trace: the server keeps the boards of
+//! recent requests and the GET replays them
+//! ([`wave::replay_traces`]), which is exact because served bytes are
+//! a pure function of board content.
 //!
 //! ```no_run
 //! use flames_serve::{serve, Client, ServeConfig};

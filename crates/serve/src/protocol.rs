@@ -443,7 +443,6 @@ mod tests {
                 name: "Vmid".into(),
                 score: 0.25,
             }),
-            trace: std::sync::Arc::new(flames_obs::Trace::new()),
             provenance: None,
         }]);
         let v = parse(&body).expect("valid JSON");

@@ -11,15 +11,14 @@
 //!   next probe out (`X-Request-Id` names the trace);
 //! * `GET /metrics` — the full [`flames_obs::MetricsSnapshot`];
 //! * `GET /trace/:id` — the Chrome `trace_event` document of a
-//!   completed request.
+//!   completed request, rebuilt on the GET by replaying its boards.
 
 use crate::error::ServeError;
 use crate::http::{read_request, write_response, ReadLimits, ReadOutcome, Request};
 use crate::protocol::{parse_diagnose, render_board};
 use crate::queue::{Job, JobQueue};
-use crate::wave::{run_wave_cached, traces_to_chrome_json};
-use flames_core::{CacheConfig, Diagnoser, RuleStore, SessionPool};
-use flames_obs::Trace;
+use crate::wave::{replay_traces, run_wave_cached, traces_to_chrome_json};
+use flames_core::{Board, CacheConfig, Diagnoser, RuleStore, SessionPool};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,7 +46,8 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// Completed-request traces kept for `GET /trace/:id`.
+    /// Completed requests kept for `GET /trace/:id`. The server keeps
+    /// each request's boards and rebuilds their traces on the GET.
     pub trace_capacity: usize,
     /// The learned-rule store serving the rule-first fast path, shared
     /// across batchers (and with whoever persists it). `None` — the
@@ -76,13 +76,23 @@ impl Default for ServeConfig {
     }
 }
 
-/// Bounded ring of completed-request traces, keyed by request id. The
-/// raw per-board traces are kept shared (`Arc`) and merged into a
-/// Chrome document only when `GET /trace/:id` asks — a heavy board's
-/// document runs to megabytes, far too much to render per request.
+/// What `GET /trace/:id` needs to rebuild a completed request's
+/// traces: its parsed boards and, per board, whether the learned-rule
+/// fast path answered it (a hit propagated nothing, so its trace is
+/// empty).
+#[derive(Debug)]
+struct ServedRequest {
+    boards: Vec<Board>,
+    rule_hits: Vec<bool>,
+}
+
+/// Bounded ring of completed requests, keyed by request id. It keeps
+/// the boards, not their traces: served bytes are a pure function of
+/// board content, so `GET /trace/:id` replays the boards
+/// ([`replay_traces`]) and the serving path never builds a trace.
 #[derive(Debug)]
 struct TraceStore {
-    ring: Mutex<VecDeque<(u64, Vec<Arc<Trace>>)>>,
+    ring: Mutex<VecDeque<(u64, Arc<ServedRequest>)>>,
     capacity: usize,
 }
 
@@ -94,24 +104,23 @@ impl TraceStore {
         }
     }
 
-    fn insert(&self, id: u64, traces: Vec<Arc<Trace>>) {
+    fn insert(&self, id: u64, request: ServedRequest) {
+        let request = Arc::new(request);
         let mut ring = self.lock();
         if ring.len() == self.capacity {
             ring.pop_front();
         }
-        ring.push_back((id, traces));
+        ring.push_back((id, request));
     }
 
-    fn get(&self, id: u64) -> Option<String> {
-        let traces = self
-            .lock()
+    fn get(&self, id: u64) -> Option<Arc<ServedRequest>> {
+        self.lock()
             .iter()
             .find(|(i, _)| *i == id)
-            .map(|(_, t)| t.clone())?;
-        Some(traces_to_chrome_json(&traces))
+            .map(|(_, r)| Arc::clone(r))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(u64, Vec<Arc<Trace>>)>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<(u64, Arc<ServedRequest>)>> {
         self.ring
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -319,14 +328,18 @@ fn dispatch(request: &Request, shared: &Shared) -> RouteResult {
             let id: u64 = path["/trace/".len()..]
                 .parse()
                 .map_err(|_| ServeError::bad_request("trace id must be an integer"))?;
-            match shared.traces.get(id) {
-                Some(json) => Ok((json, Vec::new())),
-                None => Err(ServeError::with_status(
+            let request = shared.traces.get(id).ok_or_else(|| {
+                ServeError::with_status(
                     crate::error::ErrorKind::BadRequest,
                     404,
                     format!("no completed request {id} in the trace window"),
-                )),
-            }
+                )
+            })?;
+            // The ring lock is already released: the replay runs on a
+            // session of this worker's own, off the batchers' pools.
+            let traces = replay_traces(&shared.diagnoser, &request.boards, &request.rule_hits)
+                .map_err(|e| ServeError::internal(format!("trace replay failed: {e}")))?;
+            Ok((traces_to_chrome_json(&traces), Vec::new()))
         }
         (_, path) if path == "/diagnose" || path == "/metrics" || path.starts_with("/trace/") => {
             Err(ServeError::with_status(
@@ -402,9 +415,6 @@ fn batcher_loop(shared: &Shared) {
                 for job in live {
                     let slice = &outcomes[offset..offset + job.boards.len()];
                     offset += job.boards.len();
-                    shared
-                        .traces
-                        .insert(job.id, slice.iter().map(|o| o.trace.clone()).collect());
                     // A request that declined recommendations renders
                     // its boards without them, even when a coalesced
                     // duplicate asked (the report bytes are shared).
@@ -421,6 +431,16 @@ fn batcher_loop(shared: &Shared) {
                         rendered.push_str(&render_board(&o.report, probe, o.provenance.as_ref()));
                     }
                     rendered.push_str("]}");
+                    // Into the ring before the reply, so a client that
+                    // asks for the trace right after its response
+                    // finds it.
+                    shared.traces.insert(
+                        job.id,
+                        ServedRequest {
+                            boards: job.boards,
+                            rule_hits: slice.iter().map(|o| o.provenance.is_some()).collect(),
+                        },
+                    );
                     let _ = job.reply.send(Ok(rendered));
                 }
             }

@@ -17,7 +17,6 @@ use flames_core::{
 };
 use flames_obs::Trace;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The planner's verdict on where to probe next: the lowest-scoring
 /// unprobed test point under the paper's fuzzy-entropy policy.
@@ -32,19 +31,16 @@ pub struct NextProbe {
 }
 
 /// Everything the service derives from one board: the full diagnosis
-/// [`Report`], the recommended next probe (absent when every point has
-/// been probed or the request declined it), and the session's
-/// deterministic diagnosis trace.
+/// [`Report`] and the recommended next probe (absent when every point
+/// has been probed or the request declined it). The board's diagnosis
+/// trace is not built here: [`replay_traces`] rebuilds it when
+/// `GET /trace/:id` asks.
 #[derive(Debug, Clone)]
 pub struct BoardOutcome {
     /// The diagnosis snapshot.
     pub report: Report,
     /// Best next test point, if requested and any point is unprobed.
     pub next_probe: Option<NextProbe>,
-    /// The logical-clock trace of the session that served this board,
-    /// shared so fanning an outcome out to coalesced duplicate requests
-    /// never copies the event log.
-    pub trace: Arc<Trace>,
     /// `Some` exactly when the learned-rule fast path served this board
     /// without propagation (see [`flames_core::RuleStore`]); `None` on
     /// the model-based path, whose response bytes are unchanged.
@@ -73,8 +69,8 @@ fn board_key(board: &Board) -> Vec<(usize, [u64; 4])> {
 }
 
 /// Diagnoses one wave of boards on pooled sessions: dedup, measure,
-/// one lane propagation, then report + next-probe + trace per unique
-/// board, fanned back out to every input board.
+/// one lane propagation, then report + next-probe per unique board,
+/// fanned back out to every input board.
 ///
 /// `want_next_probe[i]` asks for a recommendation for board `i`; a
 /// unique board computes it if *any* of its duplicates asked (the
@@ -104,12 +100,11 @@ pub fn run_wave<'d>(
 /// Each *unique* board (dedup happens first, so coalesced duplicates
 /// consult the cache once) is discretized to symptoms without
 /// propagation; a confident hit is answered straight from the rule —
-/// with [`RuleProvenance`], an empty trace (nothing propagated), and no
-/// next-probe recommendation (the rule already names the culprit) —
-/// while misses take the identical lane path `run_wave` takes, so their
-/// reports and response bytes are unchanged. When
-/// [`CacheConfig::learn`] is set, each miss outcome is absorbed back
-/// into the store. `cache: None` (or a disabled config) *is*
+/// with [`RuleProvenance`] and no next-probe recommendation (the rule
+/// already names the culprit) — while misses take the identical lane
+/// path `run_wave` takes, so their reports and response bytes are
+/// unchanged. When [`CacheConfig::learn`] is set, each miss outcome is
+/// absorbed back into the store. `cache: None` (or a disabled config) *is*
 /// [`run_wave`]: one shared code path, so the cache-off bytes cannot
 /// drift.
 ///
@@ -164,7 +159,6 @@ pub fn run_wave_cached<'d>(
                     unique_outcomes[slot] = Some(BoardOutcome {
                         report: rule_hit_report(diagnoser, board, &hit),
                         next_probe: None,
-                        trace: Arc::new(Trace::new()),
                         provenance: Some(hit),
                     });
                 }
@@ -214,7 +208,6 @@ pub fn run_wave_cached<'d>(
         unique_outcomes[slot] = Some(BoardOutcome {
             report,
             next_probe,
-            trace: Arc::new(session.trace()),
             provenance: None,
         });
     }
@@ -271,13 +264,56 @@ pub fn diagnose_boards_cached(
     )
 }
 
+/// Rebuilds the diagnosis traces of a served request's boards, one per
+/// board, on a session of its own: each model-path board is measured,
+/// propagated solo and traced; a board the learned-rule fast path
+/// answered (`rule_hits[i]`) gets an empty trace, since nothing was
+/// propagated for it.
+///
+/// The replay is exact. Lane propagation is bit-identical to a solo
+/// run, so the trace equals the one the serving lane's session would
+/// have exported; and the model path never reads the rule store, so a
+/// store that learned since the request was served cannot change it.
+///
+/// # Errors
+///
+/// Returns the first per-board error (out-of-range test-point index).
+pub fn replay_traces(
+    diagnoser: &Diagnoser,
+    boards: &[Board],
+    rule_hits: &[bool],
+) -> Result<Vec<Trace>> {
+    debug_assert_eq!(boards.len(), rule_hits.len());
+    let mut session: Option<Session<'_>> = None;
+    let mut traces = Vec::with_capacity(boards.len());
+    for (board, &hit) in boards.iter().zip(rule_hits) {
+        if hit {
+            traces.push(Trace::new());
+            continue;
+        }
+        let session = match &mut session {
+            Some(session) => {
+                session.reset();
+                session
+            }
+            None => session.insert(diagnoser.session()),
+        };
+        for &(idx, value) in board {
+            session.measure_point(idx, value)?;
+        }
+        session.propagate();
+        traces.push(session.trace());
+    }
+    Ok(traces)
+}
+
 /// Merges per-board diagnosis traces into one Chrome `trace_event`
 /// document, one `tid` per board, preserving each board's logical
 /// clock. This is what `GET /trace/:id` streams for a completed
-/// request — rendered lazily on the GET, never on the serving path (a
+/// request — rendered on the GET, never on the serving path (a
 /// propagation-heavy board's document runs to megabytes).
 #[must_use]
-pub fn traces_to_chrome_json(traces: &[Arc<Trace>]) -> String {
+pub fn traces_to_chrome_json(traces: &[Trace]) -> String {
     use flames_obs::trace::escape_json;
     use flames_obs::ArgValue;
     use std::fmt::Write as _;
@@ -400,8 +436,7 @@ mod tests {
     #[test]
     fn merged_trace_is_a_loadable_chrome_document() {
         let d = divider();
-        let outcomes = diagnose_boards(&d, &[board(6.1), board(4.2)], false).unwrap();
-        let traces: Vec<Arc<Trace>> = outcomes.iter().map(|o| o.trace.clone()).collect();
+        let traces = replay_traces(&d, &[board(6.1), board(4.2)], &[false, false]).unwrap();
         let json = traces_to_chrome_json(&traces);
         let v = flames_obs::json::parse(&json).expect("valid JSON");
         let events = v.member("traceEvents").unwrap().as_array().unwrap();
@@ -412,5 +447,19 @@ mod tests {
             .map(|e| e.member("tid").unwrap().as_f64().unwrap() as u64)
             .collect();
         assert_eq!(tids.into_iter().collect::<Vec<_>>(), vec![1, 2]);
+    }
+
+    #[test]
+    fn replay_gives_hits_an_empty_trace_and_returns_board_errors() {
+        let d = divider();
+        let traces = replay_traces(&d, &[board(6.1), board(6.1)], &[true, false]).unwrap();
+        assert_eq!(traces[0], Trace::new());
+        let mut solo = d.session();
+        solo.measure_point(0, board(6.1)[0].1).unwrap();
+        solo.propagate();
+        assert_eq!(traces[1], solo.trace());
+        // An out-of-range point is an error, not a panic.
+        let bad: Board = vec![(7, FuzzyInterval::crisp(1.0))];
+        assert!(replay_traces(&d, &[board(6.1), bad], &[false, false]).is_err());
     }
 }

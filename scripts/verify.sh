@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> cargo build svcbench (the service benchmark, a package outside the workspace)"
+cargo build --release --locked --offline --manifest-path svcbench/Cargo.toml
+
 echo "==> cargo test (tier-1, incl. differential fuzzy-vs-crisp suite)"
 cargo test -q --workspace
 

@@ -7,6 +7,8 @@
 //! process also pins the probe-planning counters: the fast probe loop
 //! must be served incrementally (memo + candidate updates, zero
 //! rebuilds), and the retained oracle loop must count its rebuilds.
+//! Last, a `GET /trace/:id` replay must leave the admission, wave and
+//! learned-rule counters alone: it rebuilds a trace, it serves no board.
 //!
 //! This file deliberately holds a single `#[test]` and is its own
 //! integration-test binary: the counters are process-global atomics, so
@@ -275,6 +277,58 @@ fn kernel_counter_deltas_are_thread_count_invariant() {
                 0,
                 "{name} moved with obs compiled out"
             );
+        }
+    }
+
+    // A trace replay is not a served board. `GET /trace/:id` rebuilds
+    // the request's traces on a session of its own, so it moves the
+    // session and kernel counters but none of the admission, wave or
+    // learned-rule counters — even on a server whose store learns
+    // (the default `CacheConfig`).
+    use flames::serve::{serve, Client, ServeConfig};
+    use std::sync::Arc;
+    let handle = serve(
+        "127.0.0.1:0",
+        diagnoser.clone(),
+        ServeConfig {
+            rule_store: Some(Arc::new(RuleStore::new())),
+            ..ServeConfig::default()
+        },
+    )
+    .expect("server binds");
+    let mut client = Client::connect(handle.addr()).expect("client connects");
+    let body = format!(
+        "{{\"boards\": [[{{\"point\": 0, \"value\": {}}}]]}}",
+        boards[1][0].1.core_lo()
+    );
+    let served = client.diagnose(&body).expect("request served");
+    assert_eq!(served.status, 200, "{}", served.body);
+    let id = served
+        .header("x-request-id")
+        .expect("request id")
+        .to_owned();
+    let before = MetricsSnapshot::capture();
+    let trace = client
+        .request("GET", &format!("/trace/{id}"), None)
+        .expect("trace served");
+    assert_eq!(trace.status, 200, "{}", trace.body);
+    let replay = MetricsSnapshot::capture().delta_since(&before);
+    handle.shutdown();
+    for name in [
+        "serve.accepted",
+        "serve.coalesced",
+        "serve.boards_diagnosed",
+        "serve.deduped_boards",
+    ] {
+        assert_eq!(replay.get(name), 0, "a trace replay moved {name}");
+    }
+    for (name, delta) in replay.with_prefixes(&["learn."]) {
+        assert_eq!(delta, 0, "a trace replay moved {name}");
+    }
+    if flames::obs::enabled() {
+        assert_eq!(replay.get("serve.sessions_opened"), 1);
+        for name in ["core.waves", "core.constraint_apps"] {
+            assert!(replay.get(name) > 0, "{name} did not move over a replay");
         }
     }
 }
