@@ -45,7 +45,7 @@ enum Repr {
 }
 
 /// A set of assumptions backed by an inline bitset (see the module-level
-/// invariants on [`Repr`]).
+/// invariants on its private `Repr`).
 #[derive(Clone)]
 pub struct Env {
     repr: Repr,

@@ -9,8 +9,8 @@
 //!   assumption vocabulary, and every environment per session;
 //! * **warm pool, 1 thread** — a [`flames_core::SessionPool`] recycling
 //!   reset sessions, so steady-state boards pay no rebuild;
-//! * **N threads** — [`flames_core::diagnose_batch`] over
-//!   `std::thread::scope` workers, one pool per worker.
+//! * **N threads** — [`flames_core::diagnose_batch_lanes`] at lane
+//!   width 1 over `std::thread::scope` workers, one pool per worker.
 //!
 //! Before any timing, the gate asserts the three paths produce
 //! byte-identical reports (warm/batch determinism is the refactor's core
@@ -23,7 +23,7 @@ use flames_circuit::circuits::{three_stage, ThreeStage};
 use flames_circuit::fault::inject_faults;
 use flames_circuit::predict::measure;
 use flames_circuit::{CompId, Fault};
-use flames_core::{diagnose_batch, Board, Diagnoser, DiagnoserConfig, Report, SessionPool};
+use flames_core::{diagnose_batch_lanes, Board, Diagnoser, DiagnoserConfig, Report, SessionPool};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -146,7 +146,7 @@ fn main() {
         assert_eq!(
             format!(
                 "{:?}",
-                diagnose_batch(&diagnoser, &boards, t).expect("batch runs")
+                diagnose_batch_lanes(&diagnoser, &boards, t, 1).expect("batch runs")
             ),
             reference,
             "{t}-thread batch must be byte-identical to sequential"
@@ -175,7 +175,7 @@ fn main() {
         name: "batch_n_threads",
         threads,
         ns_per_batch: h.bench("batch_n_threads", || {
-            black_box(diagnose_batch(&diagnoser, &boards, threads).expect("batch runs"))
+            black_box(diagnose_batch_lanes(&diagnoser, &boards, threads, 1).expect("batch runs"))
         }),
     };
 

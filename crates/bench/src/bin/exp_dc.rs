@@ -12,9 +12,9 @@
 //!   on a fixed fleet of random trapezoid pairs. Gates: closed-form
 //!   ≥ 3× PWL; batch ≥ 2× closed-form.
 //! * **lanes** — `diagnose_batch_lanes` (one schedule traversal per
-//!   wave amortised over up to 64 warm sessions) versus the per-board
-//!   `diagnose_batch` on the paper's Fig. 6 three-stage amplifier, one
-//!   thread each. Both paths run the same 4-wide classify/apply
+//!   wave amortised over up to 64 warm sessions) versus the same call
+//!   at lane width 1 (each board propagated alone) on the paper's
+//!   Fig. 6 three-stage amplifier, one thread each. Both paths run the same 4-wide classify/apply
 //!   kernels, so the lane contract is *byte-identical reports, no
 //!   slower*: the gate is the no-regression bound (≥ 0.9×) that applies
 //!   whenever both sides do the same kernel work. See DESIGN.md §10 and
@@ -37,7 +37,7 @@ use flames_circuit::circuits::{three_stage, ThreeStage};
 use flames_circuit::fault::inject_faults;
 use flames_circuit::predict::measure;
 use flames_circuit::{CompId, Fault};
-use flames_core::{diagnose_batch, diagnose_batch_lanes, Board, Diagnoser, DiagnoserConfig};
+use flames_core::{diagnose_batch_lanes, Board, Diagnoser, DiagnoserConfig};
 use flames_fuzzy::{Consistency, FuzzyInterval};
 use std::hint::black_box;
 use std::time::Duration;
@@ -217,13 +217,13 @@ fn main() {
     .expect("three-stage model compiles");
     let boards = make_boards(&ts, BOARDS);
 
-    let per_board = diagnose_batch(&diagnoser, &boards, 1).expect("batch runs");
+    let per_board = diagnose_batch_lanes(&diagnoser, &boards, 1, 1).expect("batch runs");
     assert!(
         per_board.iter().any(|r| !r.nogoods.is_empty()),
         "workload must exercise faulty boards"
     );
     let reference = format!("{per_board:?}");
-    for lane_width in [1, 7, LANE_WIDTH] {
+    for lane_width in [7, LANE_WIDTH] {
         let laned = diagnose_batch_lanes(&diagnoser, &boards, 1, lane_width).expect("lanes run");
         assert_eq!(
             format!("{laned:?}"),
@@ -231,13 +231,13 @@ fn main() {
             "lane-{lane_width} batch must be byte-identical to per-board"
         );
     }
-    println!("lane determinism gate passed: lanes(1,7,{LANE_WIDTH}) == per-board\n");
+    println!("lane determinism gate passed: lanes(7,{LANE_WIDTH}) == per-board\n");
 
     let hl = Harness::new("exp_dc").with_budget(Duration::from_secs(3));
     let lanes = hl.bench_pair(
         "batch_per_board",
         "batch_lanes",
-        || black_box(diagnose_batch(&diagnoser, &boards, 1).expect("batch runs")),
+        || black_box(diagnose_batch_lanes(&diagnoser, &boards, 1, 1).expect("batch runs")),
         || black_box(diagnose_batch_lanes(&diagnoser, &boards, 1, LANE_WIDTH).expect("lanes run")),
     );
     let per_board_ns = lanes.a_ns / BOARDS as f64;

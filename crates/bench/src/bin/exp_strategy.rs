@@ -26,16 +26,16 @@
 //!   planning step (recommend + the isolation-check candidate query) is
 //!   timed over the whole trajectory, fast versus oracle. Gate:
 //!   fast ≥ 3× oracle.
-//! * **parallel** — `probe_batch` over the ladder fleet, 4 worker
-//!   threads versus 1. The planner's contract is *byte-identical runs at
-//!   no throughput cost* regardless of placement, so the gate is a
-//!   no-regression bound (this container is single-core; the merge
-//!   discipline, not the speedup, is what is being pinned).
+//! * **parallel** — `probe_batch_lanes` at lane width 1 over the
+//!   ladder fleet, 4 worker threads versus 1. The planner's contract is
+//!   *byte-identical runs at no throughput cost* regardless of
+//!   placement, so the gate is a no-regression bound (on a single-core
+//!   host the merge discipline, not the speedup, is what is pinned).
 //!
 //! Before any timing, the gates assert the fast paths are byte-exact:
 //! the incremental candidate sets must match the batch oracle after
 //! every single install, every fast probe run must reproduce the oracle
-//! run byte-for-byte, and `recommend` / `probe_batch` must be
+//! run byte-for-byte, and `recommend` / `probe_batch_lanes` must be
 //! byte-identical across 1/2/4/8 threads. Writes `BENCH_strategy.json`
 //! in the current directory and exits non-zero if a gate fails.
 
@@ -47,8 +47,8 @@ use flames_circuit::fault::inject_faults;
 use flames_circuit::predict::{measure_all, TestPoint};
 use flames_circuit::{Fault, Net, Netlist};
 use flames_core::strategy::{
-    probe_batch, probe_batch_lanes, probe_until_isolated_oracle, probe_until_isolated_with,
-    recommend_oracle, recommend_with, recommend_with_memo, Policy, ProbeRun, CANDIDATE_BUDGET,
+    probe_batch_lanes, probe_until_isolated_oracle, probe_until_isolated_with, recommend_oracle,
+    recommend_with, recommend_with_memo, Policy, ProbeRun, CANDIDATE_BUDGET,
 };
 use flames_core::{Candidate, Diagnoser, DiagnoserConfig, Session};
 use flames_fuzzy::entropy::EntropyMemo;
@@ -387,7 +387,7 @@ fn main() {
 
     // ----- gate 3: thread-count byte-identity --------------------------
     // recommend() on a mid-run session, and whole runs through
-    // probe_batch / probe_batch_lanes.
+    // probe_batch_lanes at widths 1 and 3.
     {
         let readings = &casc.boards[1];
         let mut session = casc.diagnoser.session();
@@ -408,21 +408,29 @@ fn main() {
                 );
             }
         }
-        let serial = probe_batch(&casc.diagnoser, &casc.boards, Policy::FuzzyEntropy, 0.05, 1)
-            .expect("batch probes");
+        let serial = probe_batch_lanes(
+            &casc.diagnoser,
+            &casc.boards,
+            Policy::FuzzyEntropy,
+            0.05,
+            1,
+            1,
+        )
+        .expect("batch probes");
         for threads in [2, 4, 8] {
-            let parallel = probe_batch(
+            let parallel = probe_batch_lanes(
                 &casc.diagnoser,
                 &casc.boards,
                 Policy::FuzzyEntropy,
                 0.05,
                 threads,
+                1,
             )
             .expect("batch probes");
             assert_eq!(
                 format!("{serial:?}"),
                 format!("{parallel:?}"),
-                "probe_batch diverged at {threads} threads"
+                "probe_batch_lanes diverged at {threads} threads"
             );
         }
         let laned = probe_batch_lanes(
@@ -441,7 +449,7 @@ fn main() {
         );
     }
     println!(
-        "determinism gate passed: recommend/probe_batch byte-identical across 1/2/4/8 threads\n"
+        "determinism gate passed: recommend/probe_batch_lanes byte-identical across 1/2/4/8 threads\n"
     );
 
     // ----- timing: candidate maintenance -------------------------------
@@ -502,11 +510,12 @@ fn main() {
     let boards = ladder.boards.len() as f64;
     let serial_ns = hp.bench("probe_batch/serial", || {
         black_box(
-            probe_batch(
+            probe_batch_lanes(
                 &ladder.diagnoser,
                 &ladder.boards,
                 Policy::FuzzyEntropy,
                 0.05,
+                1,
                 1,
             )
             .expect("batch probes"),
@@ -514,12 +523,13 @@ fn main() {
     }) / boards;
     let parallel_ns = hp.bench("probe_batch/parallel", || {
         black_box(
-            probe_batch(
+            probe_batch_lanes(
                 &ladder.diagnoser,
                 &ladder.boards,
                 Policy::FuzzyEntropy,
                 0.05,
                 THREADS,
+                1,
             )
             .expect("batch probes"),
         )

@@ -109,7 +109,7 @@ impl fmt::Display for Report {
 /// [`Diagnoser::from_network`]) and shared behind an [`Arc`] — cloning a
 /// [`Diagnoser`] is a reference-count bump, and any number of threads can
 /// open sessions against the same model concurrently (see
-/// [`diagnose_batch`]).
+/// [`diagnose_batch_lanes`]).
 ///
 /// The base state is the serve-many half of the compile: the seed
 /// fixpoint is board-independent, so every session restores this
@@ -199,7 +199,7 @@ impl CompiledModel {
 ///
 /// Build once per circuit; open a fresh [`Session`] per board under test,
 /// or reuse warm sessions through a [`SessionPool`] /
-/// [`diagnose_batch`]. Cloning is cheap (an [`Arc`] bump) and clones
+/// [`diagnose_batch_lanes`]. Cloning is cheap (an [`Arc`] bump) and clones
 /// share the compiled model.
 #[derive(Debug, Clone)]
 pub struct Diagnoser {
@@ -531,24 +531,20 @@ impl<'d> Session<'d> {
         Ok(())
     }
 
-    /// Runs propagation to quiescence; returns the number of constraint
+    /// Runs propagation to quiescence — a one-session
+    /// [`Session::propagate_lane`]; returns the number of constraint
     /// applications.
     pub fn propagate(&mut self) -> usize {
-        let steps = self.prop.run();
-        self.waves.push(crate::trace::WaveRecord {
-            steps,
-            coincidences_total: self.prop.coincidences().len(),
-            nogoods_total: self.prop.atms().nogoods().len(),
-        });
-        steps
+        Self::propagate_lane(&mut [self])[0]
     }
 
     /// Propagates a *lane* of sessions over one shared compiled model:
     /// a single schedule traversal drives every board to quiescence
     /// ([`Propagator::run_lane`]), producing per-board state
     /// bit-identical to calling [`Session::propagate`] on each session
-    /// alone. All sessions must come from [`Diagnoser::session`] /
-    /// [`SessionPool`] over the same diagnoser (shared schedule).
+    /// alone. A lane of two or more sessions must come from
+    /// [`Diagnoser::session`] / [`SessionPool`] over the same diagnoser
+    /// (shared schedule).
     ///
     /// Returns the constraint application count of each session.
     ///
@@ -1034,12 +1030,16 @@ pub type Board = Vec<(usize, FuzzyInterval)>;
 /// Diagnoses a batch of boards against one shared [`CompiledModel`],
 /// spreading the boards over `threads` workers (`std::thread::scope` —
 /// no external runtime). Each worker runs its own [`SessionPool`], so
-/// after its first board it serves from warm sessions.
+/// after its first board it serves from warm sessions, and drives its
+/// boards in lanes of `lane_width` sessions (clamped to `1..=64`): one
+/// schedule traversal per wave is amortised over the whole lane
+/// ([`Propagator::run_lane`]). Width 1 propagates each board alone.
 ///
 /// Boards are split into contiguous chunks and results are written by
-/// board index, so the output order — and, because a warm session is
+/// board index, and the lane runner keeps each board's own constraint
+/// order, so the output order — and, because a warm session is
 /// indistinguishable from a fresh one, every report byte — is identical
-/// for any thread count, including the sequential `threads == 1` path.
+/// for any thread count and lane width.
 ///
 /// # Errors
 ///
@@ -1054,7 +1054,7 @@ pub type Board = Vec<(usize, FuzzyInterval)>;
 ///
 /// ```
 /// use flames_circuit::{predict::TestPoint, Net, Netlist};
-/// use flames_core::{diagnose_batch, Diagnoser, DiagnoserConfig};
+/// use flames_core::{diagnose_batch_lanes, Diagnoser, DiagnoserConfig};
 /// use flames_fuzzy::FuzzyInterval;
 ///
 /// # fn main() -> Result<(), flames_core::CoreError> {
@@ -1074,103 +1074,53 @@ pub type Board = Vec<(usize, FuzzyInterval)>;
 ///     vec![(0, FuzzyInterval::crisp(5.0).widened(0.05)?)],
 ///     vec![(0, FuzzyInterval::crisp(6.2).widened(0.05)?)],
 /// ];
-/// let reports = diagnose_batch(&diagnoser, &boards, 2)?;
+/// let reports = diagnose_batch_lanes(&diagnoser, &boards, 2, 64)?;
 /// assert!(reports[0].candidates.is_empty());
 /// assert!(!reports[1].candidates.is_empty());
 /// # Ok(())
 /// # }
 /// ```
-pub fn diagnose_batch(
-    diagnoser: &Diagnoser,
-    boards: &[Board],
-    threads: usize,
-) -> Result<Vec<Report>> {
-    let threads = threads.max(1).min(boards.len().max(1));
-    let mut results: Vec<Option<Report>> = Vec::new();
-    results.resize_with(boards.len(), || None);
-    if threads <= 1 {
-        let mut pool = SessionPool::new(diagnoser);
-        for (slot, board) in results.iter_mut().zip(boards) {
-            *slot = Some(diagnose_one(&mut pool, board)?);
-        }
-    } else {
-        let chunk = boards.len().div_ceil(threads);
-        std::thread::scope(|scope| -> Result<()> {
-            let mut handles = Vec::new();
-            let mut rest: &mut [Option<Report>] = &mut results;
-            for batch in boards.chunks(chunk) {
-                let (head, tail) = rest.split_at_mut(batch.len());
-                rest = tail;
-                handles.push(scope.spawn(move || -> Result<()> {
-                    let mut pool = SessionPool::new(diagnoser);
-                    for (slot, board) in head.iter_mut().zip(batch) {
-                        *slot = Some(diagnose_one(&mut pool, board)?);
-                    }
-                    Ok(())
-                }));
-            }
-            for handle in handles {
-                handle.join().expect("batch worker panicked")?;
-            }
-            Ok(())
-        })?;
-    }
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("every board diagnosed"))
-        .collect())
-}
-
-/// [`diagnose_batch`] with board-lane propagation: each worker drives
-/// its boards in lanes of `lane_width` warm sessions (clamped to
-/// `1..=64`), so one schedule traversal per wave is amortised over the
-/// whole lane ([`Propagator::run_lane`]) instead of repeated per board.
-///
-/// Reports are byte-identical to [`diagnose_batch`] for every thread
-/// count and lane width — the lane runner preserves each board's solo
-/// constraint-application order exactly.
-///
-/// # Errors
-///
-/// Returns the first per-board error, as [`diagnose_batch`] does.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
 pub fn diagnose_batch_lanes(
     diagnoser: &Diagnoser,
     boards: &[Board],
     threads: usize,
     lane_width: usize,
 ) -> Result<Vec<Report>> {
+    fan_out_lanes(diagnoser, boards, threads, lane_width, diagnose_lane_into)
+}
+
+/// Runs `lane` over `items` in lanes of `lane_width` (clamped to
+/// `1..=64`) on `threads` scoped workers, each over contiguous chunks
+/// with a [`SessionPool`] of its own; results come back in item order.
+/// The one fan-out behind every batch driver.
+pub(crate) fn fan_out_lanes<'d, T: Sync, R: Send>(
+    diagnoser: &'d Diagnoser,
+    items: &[T],
+    threads: usize,
+    lane_width: usize,
+    lane: impl Fn(&mut SessionPool<'d>, &[T], &mut [Option<R>]) -> Result<()> + Sync,
+) -> Result<Vec<R>> {
     let lane_width = lane_width.clamp(1, 64);
-    let threads = threads.max(1).min(boards.len().max(1));
-    let mut results: Vec<Option<Report>> = Vec::new();
-    results.resize_with(boards.len(), || None);
-    if threads <= 1 {
+    let threads = threads.max(1).min(items.len().max(1));
+    let mut results: Vec<Option<R>> = Vec::new();
+    results.resize_with(items.len(), || None);
+    let worker = |batch: &[T], out: &mut [Option<R>]| -> Result<()> {
         let mut pool = SessionPool::new(diagnoser);
-        for (lane, out) in boards
-            .chunks(lane_width)
-            .zip(results.chunks_mut(lane_width))
-        {
-            diagnose_lane_into(&mut pool, lane, out)?;
+        for (part, slots) in batch.chunks(lane_width).zip(out.chunks_mut(lane_width)) {
+            lane(&mut pool, part, slots)?;
         }
+        Ok(())
+    };
+    if threads <= 1 {
+        worker(items, &mut results)?;
     } else {
-        let chunk = boards.len().div_ceil(threads);
+        let chunk = items.len().div_ceil(threads);
         std::thread::scope(|scope| -> Result<()> {
-            let mut handles = Vec::new();
-            let mut rest: &mut [Option<Report>] = &mut results;
-            for batch in boards.chunks(chunk) {
-                let (head, tail) = rest.split_at_mut(batch.len());
-                rest = tail;
-                handles.push(scope.spawn(move || -> Result<()> {
-                    let mut pool = SessionPool::new(diagnoser);
-                    for (lane, out) in batch.chunks(lane_width).zip(head.chunks_mut(lane_width)) {
-                        diagnose_lane_into(&mut pool, lane, out)?;
-                    }
-                    Ok(())
-                }));
-            }
+            let handles: Vec<_> = items
+                .chunks(chunk)
+                .zip(results.chunks_mut(chunk))
+                .map(|(batch, out)| scope.spawn(|| worker(batch, out)))
+                .collect();
             for handle in handles {
                 handle.join().expect("batch worker panicked")?;
             }
@@ -1179,7 +1129,7 @@ pub fn diagnose_batch_lanes(
     }
     Ok(results
         .into_iter()
-        .map(|r| r.expect("every board diagnosed"))
+        .map(|r| r.expect("every item served"))
         .collect())
 }
 
@@ -1209,19 +1159,6 @@ fn diagnose_lane_into<'d>(
         pool.release(session);
     }
     Ok(())
-}
-
-/// Diagnoses one board on a pooled session.
-fn diagnose_one<'d>(pool: &mut SessionPool<'d>, board: &Board) -> Result<Report> {
-    flames_obs::metrics().boards_diagnosed.incr();
-    let mut session = pool.acquire();
-    for &(idx, value) in board {
-        session.measure_point(idx, value)?;
-    }
-    session.propagate();
-    let report = session.report();
-    pool.release(session);
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -1519,15 +1456,17 @@ mod tests {
             })
             .collect();
         for threads in [1, 2, 3, 8] {
-            let got = diagnose_batch(&d, &boards, threads).unwrap();
-            assert_eq!(
-                format!("{got:?}"),
-                format!("{expected:?}"),
-                "{threads}-thread batch must be byte-identical to sequential"
-            );
+            for lane_width in [1, 3] {
+                let got = diagnose_batch_lanes(&d, &boards, threads, lane_width).unwrap();
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{expected:?}"),
+                    "{threads}-thread lane-{lane_width} batch must be byte-identical to sequential"
+                );
+            }
         }
         // Per-board errors surface.
         let bad: Vec<Board> = vec![vec![(99, FuzzyInterval::crisp(0.0))]];
-        assert!(diagnose_batch(&d, &bad, 2).is_err());
+        assert!(diagnose_batch_lanes(&d, &bad, 2, 1).is_err());
     }
 }

@@ -64,8 +64,8 @@ pub mod strategy;
 pub mod trace;
 
 pub use engine::{
-    diagnose_batch, diagnose_batch_lanes, Board, Candidate, CompiledModel, Diagnoser,
-    DiagnoserConfig, PointReport, Report, Session, SessionPool,
+    diagnose_batch_lanes, Board, Candidate, CompiledModel, Diagnoser, DiagnoserConfig, PointReport,
+    Report, Session, SessionPool,
 };
 pub use error::CoreError;
 pub use flames::{DiagnosisOutcome, Flames, FlamesConfig};

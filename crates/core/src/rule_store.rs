@@ -1,9 +1,9 @@
 //! The learned-rule store: §7's knowledge base as a serving-scale,
 //! concurrently readable cache in front of the model-based solver.
 //!
-//! [`KnowledgeBase`](crate::learning::KnowledgeBase) is a linear-scan
-//! `Vec` that only an interactive expert consults. A [`RuleStore`] makes
-//! the same rules a *production cache tier*:
+//! [`KnowledgeBase`] is a linear-scan `Vec` that only an interactive
+//! expert consults. A [`RuleStore`] makes the same rules a *production
+//! cache tier*:
 //!
 //! * **Symptom-inverted index.** A [`RuleSnapshot`] keys posting lists by
 //!   `(point, direction, severity)`, so scoring an observation touches

@@ -34,7 +34,7 @@
 //! differential suites and the `exp_strategy` benchmark gate assert the
 //! fast path reproduces it bit for bit.
 
-use crate::engine::{Diagnoser, Session, SessionPool};
+use crate::engine::{fan_out_lanes, Diagnoser, Session, SessionPool};
 use flames_atms::Assumption;
 use flames_fuzzy::entropy::{expected_entropy, fuzzy_entropy, shannon_entropy, EntropyMemo};
 use flames_fuzzy::FuzzyInterval;
@@ -666,73 +666,15 @@ fn isolated_in(cands: &[crate::engine::Candidate]) -> bool {
 pub type BoardReadings = Vec<FuzzyInterval>;
 
 /// Runs [`probe_until_isolated`] for a fleet of boards on `threads`
-/// scoped worker threads, each worker recycling sessions through its own
-/// [`SessionPool`] (the serve-many pattern of `diagnose_batch`). Results
-/// come back in board order regardless of thread count.
-///
-/// # Errors
-///
-/// Returns the first per-board error.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn probe_batch(
-    diagnoser: &Diagnoser,
-    boards: &[BoardReadings],
-    policy: Policy,
-    lambda_cost: f64,
-    threads: usize,
-) -> crate::Result<Vec<ProbeRun>> {
-    let threads = threads.max(1).min(boards.len().max(1));
-    let mut results: Vec<Option<ProbeRun>> = Vec::new();
-    results.resize_with(boards.len(), || None);
-    let run_one = |pool: &mut SessionPool<'_>, readings: &BoardReadings| {
-        let mut session = pool.acquire();
-        let run = probe_until_isolated(&mut session, policy, lambda_cost, &|i| readings[i]);
-        pool.release(session);
-        run
-    };
-    if threads <= 1 {
-        let mut pool = SessionPool::new(diagnoser);
-        for (slot, readings) in results.iter_mut().zip(boards) {
-            *slot = Some(run_one(&mut pool, readings)?);
-        }
-    } else {
-        let chunk = boards.len().div_ceil(threads);
-        std::thread::scope(|scope| -> crate::Result<()> {
-            let mut handles = Vec::new();
-            let mut rest: &mut [Option<ProbeRun>] = &mut results;
-            for batch in boards.chunks(chunk) {
-                let (head, tail) = rest.split_at_mut(batch.len());
-                rest = tail;
-                handles.push(scope.spawn(move || -> crate::Result<()> {
-                    let mut pool = SessionPool::new(diagnoser);
-                    for (slot, readings) in head.iter_mut().zip(batch) {
-                        *slot = Some(run_one(&mut pool, readings)?);
-                    }
-                    Ok(())
-                }));
-            }
-            for handle in handles {
-                handle.join().expect("probe worker panicked")?;
-            }
-            Ok(())
-        })?;
-    }
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("every board probed"))
-        .collect())
-}
-
-/// [`probe_batch`] with board-lane propagation: each worker drives its
-/// boards in lanes of up to `lane_width` live sessions, planning each
-/// session's next probe individually but propagating the whole lane
-/// jointly ([`Session::propagate_lane`]) so one schedule traversal per
-/// wave is amortised over the lane. Sessions retire from the lane as
-/// they isolate. Runs are byte-identical to [`probe_batch`] — the lane
-/// runner preserves each board's solo propagation order exactly.
+/// scoped worker threads, each worker recycling sessions through its
+/// own [`SessionPool`] and driving its boards in lanes of up to
+/// `lane_width` live sessions (clamped to `1..=64`): each session's next
+/// probe is planned individually, but the whole lane propagates jointly
+/// ([`Session::propagate_lane`]) so one schedule traversal per wave is
+/// amortised over the lane. Sessions retire from the lane as they
+/// isolate. Runs are byte-identical to sequential
+/// [`probe_until_isolated`] runs on fresh sessions, for any thread count
+/// and lane width, and come back in board order.
 ///
 /// # Errors
 ///
@@ -749,44 +691,9 @@ pub fn probe_batch_lanes(
     threads: usize,
     lane_width: usize,
 ) -> crate::Result<Vec<ProbeRun>> {
-    let lane_width = lane_width.clamp(1, 64);
-    let threads = threads.max(1).min(boards.len().max(1));
-    let mut results: Vec<Option<ProbeRun>> = Vec::new();
-    results.resize_with(boards.len(), || None);
-    if threads <= 1 {
-        let mut pool = SessionPool::new(diagnoser);
-        for (lane, out) in boards
-            .chunks(lane_width)
-            .zip(results.chunks_mut(lane_width))
-        {
-            probe_lane_into(&mut pool, lane, policy, lambda_cost, out)?;
-        }
-    } else {
-        let chunk = boards.len().div_ceil(threads);
-        std::thread::scope(|scope| -> crate::Result<()> {
-            let mut handles = Vec::new();
-            let mut rest: &mut [Option<ProbeRun>] = &mut results;
-            for batch in boards.chunks(chunk) {
-                let (head, tail) = rest.split_at_mut(batch.len());
-                rest = tail;
-                handles.push(scope.spawn(move || -> crate::Result<()> {
-                    let mut pool = SessionPool::new(diagnoser);
-                    for (lane, out) in batch.chunks(lane_width).zip(head.chunks_mut(lane_width)) {
-                        probe_lane_into(&mut pool, lane, policy, lambda_cost, out)?;
-                    }
-                    Ok(())
-                }));
-            }
-            for handle in handles {
-                handle.join().expect("probe worker panicked")?;
-            }
-            Ok(())
-        })?;
-    }
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("every board probed"))
-        .collect())
+    fan_out_lanes(diagnoser, boards, threads, lane_width, |pool, lane, out| {
+        probe_lane_into(pool, lane, policy, lambda_cost, out)
+    })
 }
 
 /// Drives one lane of boards in lock step: plan each live session's next
@@ -1038,7 +945,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_matches_solo_runs() {
+    fn probe_batch_lanes_match_solo_runs() {
         let (nl, d) = two_branch();
         let mut boards: Vec<BoardReadings> = Vec::new();
         for (name, factor) in [("R1", 2.0), ("R3", 0.5), ("R2", 3.0), ("R4", 1.7)] {
@@ -1066,22 +973,16 @@ mod tests {
             })
             .collect();
         for threads in [1, 2, 4] {
-            let batch = probe_batch(&d, &boards, Policy::FuzzyEntropy, 0.1, threads).unwrap();
-            assert_eq!(
-                format!("{solo:?}"),
-                format!("{batch:?}"),
-                "{threads} threads"
-            );
-        }
-        for (threads, lane_width) in [(1, 2), (2, 2), (1, 4)] {
-            let lanes =
-                probe_batch_lanes(&d, &boards, Policy::FuzzyEntropy, 0.1, threads, lane_width)
-                    .unwrap();
-            assert_eq!(
-                format!("{solo:?}"),
-                format!("{lanes:?}"),
-                "{threads} threads, lane {lane_width}"
-            );
+            for lane_width in [1, 2, 4] {
+                let lanes =
+                    probe_batch_lanes(&d, &boards, Policy::FuzzyEntropy, 0.1, threads, lane_width)
+                        .unwrap();
+                assert_eq!(
+                    format!("{solo:?}"),
+                    format!("{lanes:?}"),
+                    "{threads} threads, lane {lane_width}"
+                );
+            }
         }
     }
 

@@ -348,7 +348,7 @@ impl FuzzyInterval {
     /// ramp–ramp line crossings. On each cell of that partition both
     /// memberships are linear and do not cross, so two interior probes at
     /// `u + w/3` and `u + 2w/3` integrate the cell exactly — the same
-    /// probe scheme [`Pwl::combine`] uses internally, which keeps this
+    /// probe scheme `Pwl::combine` uses internally, which keeps this
     /// fast path and the heap-allocating PWL fallback in agreement to
     /// floating-point noise (≪ 1e-12; the `proptest` suite checks 10 000
     /// random pairs).

@@ -2,9 +2,10 @@
 //!
 //! Both types expose the same API in both feature states. Enabled they
 //! are relaxed [`core::sync::atomic::AtomicU64`]s — the kernel is shared
-//! across `diagnose_batch` worker threads, so interior mutability must
-//! be `Sync`; relaxed ordering suffices because counts are only ever
-//! read via whole-registry snapshots, never used for synchronization.
+//! across `diagnose_batch_lanes` worker threads, so interior mutability
+//! must be `Sync`; relaxed ordering suffices because counts are only
+//! ever read via whole-registry snapshots, never used for
+//! synchronization.
 //! Disabled they are zero-sized unit structs whose methods are empty
 //! inline bodies, which the optimizer erases entirely.
 

@@ -168,7 +168,8 @@ impl MetricsSnapshot {
 
     /// The pairs whose names match one of `prefixes` — e.g.
     /// `&["atms.", "core."]` selects the deterministic kernel subset
-    /// that must be invariant across `diagnose_batch` thread counts.
+    /// that must be invariant across `diagnose_batch_lanes` thread
+    /// counts.
     pub fn with_prefixes<'a>(
         &'a self,
         prefixes: &'a [&'a str],

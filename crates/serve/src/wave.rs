@@ -5,10 +5,10 @@
 //! measurement sets collapse onto one warm session — the request
 //! coalescing that makes concurrent duplicate queries nearly free), and
 //! driven to quiescence by a single shared-agenda lane traversal
-//! ([`Session::propagate_lane`], the PR-4 batcher). The lane machinery
-//! guarantees each board's propagation is byte-identical to a solo run,
-//! so coalescing is invisible in the responses — the end-to-end suite
-//! pins server bytes against [`flames_core::diagnose_batch_lanes`].
+//! ([`Session::propagate_lane`]). A solo run is a width-1 lane of the
+//! same agenda, so each board's propagation is byte-identical to a solo
+//! run and coalescing is invisible in the responses — the end-to-end
+//! suite pins server bytes against [`flames_core::diagnose_batch_lanes`].
 
 use flames_core::strategy::{recommend, Policy};
 use flames_core::{
@@ -270,8 +270,8 @@ pub fn diagnose_boards_cached(
 /// answered (`rule_hits[i]`) gets an empty trace, since nothing was
 /// propagated for it.
 ///
-/// The replay is exact. Lane propagation is bit-identical to a solo
-/// run, so the trace equals the one the serving lane's session would
+/// The replay is exact. A solo run is a width-1 lane of the same
+/// agenda, so the trace equals the one the serving lane's session would
 /// have exported; and the model path never reads the rule store, so a
 /// store that learned since the request was served cannot change it.
 ///

@@ -29,6 +29,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (intra-doc links must resolve)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Runs one gated experiment binary. Keeps the previous BENCH_*.json
 # around so a gate failure prints the old speedups next to the new ones
 # instead of a bare assert message.

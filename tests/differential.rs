@@ -29,9 +29,7 @@ use flames::circuit::fault::inject_faults;
 use flames::circuit::predict::{nominal_predictions, TestPoint};
 use flames::circuit::solve::solve_dc;
 use flames::circuit::{CompId, Fault, Net, Netlist};
-use flames::core::{
-    diagnose_batch, diagnose_batch_lanes, Board, Diagnoser, DiagnoserConfig, SessionPool,
-};
+use flames::core::{diagnose_batch_lanes, Board, Diagnoser, DiagnoserConfig, SessionPool};
 use flames::crisp::{CrispConfig, CrispPropagator, Interval};
 use flames::fuzzy::FuzzyInterval;
 use flames_bench::rng::SplitMix64;
@@ -332,7 +330,7 @@ fn fuzzy_equals_crisp_on_200_rectangular_boards() {
         if !lane_boards.is_empty() {
             let reference = format!(
                 "{:?}",
-                diagnose_batch(&diagnoser, &lane_boards, 1).expect("batch runs")
+                diagnose_batch_lanes(&diagnoser, &lane_boards, 1, 1).expect("batch runs")
             );
             for lane_width in [1, 3, 64] {
                 let laned = diagnose_batch_lanes(&diagnoser, &lane_boards, 2, lane_width)

@@ -1,6 +1,6 @@
 //! Serving determinism at the *metrics* level: the kernel-side counter
 //! deltas of a batch diagnosis (`atms.*` and `core.*` prefixes) must
-//! not depend on how many worker threads `diagnose_batch` uses. The
+//! not depend on how many worker threads `diagnose_batch_lanes` uses. The
 //! pool-side `serve.*` counters legitimately do — a 4-thread run opens
 //! four pooled sessions where a sequential run reuses one — which is
 //! exactly why [`MetricsSnapshot::with_prefixes`] exists. The same
@@ -22,7 +22,7 @@ use flames::circuit::fault::inject_faults;
 use flames::circuit::predict::measure;
 use flames::circuit::Fault;
 use flames::core::strategy::{probe_until_isolated, probe_until_isolated_oracle, Policy};
-use flames::core::{diagnose_batch, Board, Diagnoser, DiagnoserConfig};
+use flames::core::{diagnose_batch_lanes, Board, Diagnoser, DiagnoserConfig};
 use flames::obs::MetricsSnapshot;
 
 #[test]
@@ -65,7 +65,7 @@ fn kernel_counter_deltas_are_thread_count_invariant() {
     let mut reports = Vec::new();
     for threads in [1, 2, 4] {
         let before = MetricsSnapshot::capture();
-        let out = diagnose_batch(&diagnoser, &boards, threads).expect("batch diagnoses");
+        let out = diagnose_batch_lanes(&diagnoser, &boards, threads, 1).expect("batch diagnoses");
         deltas.push(MetricsSnapshot::capture().delta_since(&before));
         reports.push(format!("{out:?}"));
     }
