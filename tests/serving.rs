@@ -127,10 +127,10 @@ fn assert_warm_reuse_matches(diagnoser: &Diagnoser, boards: &[Board]) {
     }
 }
 
-fn assert_lane_batch_matches(diagnoser: &Diagnoser, boards: &[Board]) {
+fn assert_lane_batch_matches(diagnoser: &Diagnoser, boards: &[Board], lane_widths: &[usize]) {
     let reference = format!("{:?}", sequential(diagnoser, boards));
     for threads in [1, 2, 3, 8] {
-        for lane_width in [1, 2, 3, 64] {
+        for &lane_width in lane_widths {
             let batch =
                 diagnose_batch_lanes(diagnoser, boards, threads, lane_width).expect("lanes run");
             assert_eq!(
@@ -150,7 +150,8 @@ fn batch_is_deterministic_on_three_stage() {
         reports.iter().skip(1).all(|r| !r.nogoods.is_empty()),
         "drifted boards must raise conflicts"
     );
-    assert_lane_batch_matches(&diagnoser, &boards);
+    // Width 1 is the solo case: one board per lane, any thread count.
+    assert_lane_batch_matches(&diagnoser, &boards, &[1]);
 }
 
 #[test]
@@ -161,7 +162,8 @@ fn batch_is_deterministic_on_diode_net() {
         !reports[1].nogoods.is_empty(),
         "the overcurrent board must raise conflicts"
     );
-    assert_lane_batch_matches(&diagnoser, &boards);
+    // Width 1 is the solo case: one board per lane, any thread count.
+    assert_lane_batch_matches(&diagnoser, &boards, &[1]);
 }
 
 #[test]
@@ -174,6 +176,18 @@ fn warm_reuse_is_deterministic_on_three_stage() {
 fn warm_reuse_is_deterministic_on_diode_net() {
     let (diagnoser, boards) = diode_fleet();
     assert_warm_reuse_matches(&diagnoser, &boards);
+}
+
+#[test]
+fn lane_batches_are_deterministic_on_three_stage() {
+    let (diagnoser, boards) = three_stage_fleet();
+    assert_lane_batch_matches(&diagnoser, &boards, &[2, 3, 64]);
+}
+
+#[test]
+fn lane_batches_are_deterministic_on_diode_net() {
+    let (diagnoser, boards) = diode_fleet();
+    assert_lane_batch_matches(&diagnoser, &boards, &[2, 3, 64]);
 }
 
 /// Driving one lane of warm sessions jointly must leave every session —
