@@ -99,8 +99,8 @@ pub struct RankedDiagnosis {
 /// let d1 = atms.add_assumption();
 /// let r1 = atms.add_assumption();
 /// let r2 = atms.add_assumption();
-/// atms.add_nogood(Env::from_assumptions([r1, d1]), 0.5);
-/// atms.add_nogood(Env::from_assumptions([r2, d1]), 1.0);
+/// atms.add_nogood(&Env::from_assumptions([r1, d1]), 0.5);
+/// atms.add_nogood(&Env::from_assumptions([r2, d1]), 1.0);
 /// let diags = atms.ranked_diagnoses(usize::MAX, 100);
 /// // [d1] explains everything and is implicated by a degree-1 conflict.
 /// assert_eq!(diags[0].env, Env::singleton(d1));
@@ -194,7 +194,10 @@ impl FuzzyAtms {
     /// `degree = 1 − Dc`).
     ///
     /// Degrees ≤ 0 are ignored (no conflict); degrees are clamped to 1.
-    pub fn add_nogood(&mut self, env: Env, degree: f64) {
+    /// The environment is borrowed: a conflict subsumed by the store —
+    /// nearly every conflict a propagation run reports — is tested
+    /// against it as it stands and never cloned or interned.
+    pub fn add_nogood(&mut self, env: &Env, degree: f64) {
         if degree <= 0.0 {
             return;
         }
@@ -373,25 +376,33 @@ impl FuzzyAtms {
     }
 
     /// Installs a graded nogood, keeping the store Pareto-minimal.
-    fn install_nogood(&mut self, env: Env, degree: f64) {
-        let ngid = self.envs.intern_owned(env);
+    ///
+    /// The subsumption probe runs on the raw environment; only a nogood
+    /// that will be installed is interned (subsumption is a set
+    /// relation, so the probe's verdict is the interned test's).
+    fn install_nogood(&mut self, env: &Env, degree: f64) {
         // Subset-test accounting is accumulated across the whole install
         // and flushed once — per-test atomics here cost the kernel ~30%.
         let mut stats = SubsetStats::default();
         // Subsumed by an existing subset nogood at least as strong?
+        let (len, sig) = (env.len(), env.signature());
         let subsumed = self.nogood_ids.iter().zip(&self.nogoods).any(|(&id, n)| {
-            n.degree >= degree && self.envs.is_subset_counted(id, ngid, &mut stats)
+            n.degree >= degree
+                && self
+                    .envs
+                    .is_subset_of_raw_counted(id, env, len, sig, &mut stats)
         });
         if subsumed {
             stats.flush();
             flames_obs::metrics().nogood_subsumed.incr();
             return;
         }
+        let ngid = self.envs.intern_owned(env.clone());
         flames_obs::metrics().nogood_installs.incr();
         // Log the raw install and invalidate candidate caches. Subsumed
         // installs above do neither: they cannot change any hitting set,
         // so caches tagged with the current epoch stay exact.
-        self.install_log.push(self.envs.env(ngid).clone());
+        self.install_log.push(env.clone());
         self.epoch += 1;
         // Drop existing nogoods this one dominates (order-preserving).
         let mut w = 0;
@@ -409,7 +420,7 @@ impl FuzzyAtms {
         self.nogoods.truncate(w);
         self.nogood_ids.truncate(w);
         self.nogoods.push(Nogood {
-            env: self.envs.env(ngid).clone(),
+            env: env.clone(),
             degree,
         });
         self.nogood_ids.push(ngid);
@@ -445,11 +456,11 @@ mod tests {
         let env_ab = Env::from_assumptions([a, b]);
         assert_eq!(atms.plausibility(&env_ab), 1.0);
         // Partial conflict on {a}: {a, b} stays plausible to 0.6.
-        atms.add_nogood(Env::singleton(a), 0.4);
+        atms.add_nogood(&Env::singleton(a), 0.4);
         assert!((atms.plausibility(&env_ab) - 0.6).abs() < 1e-12);
         assert_eq!(atms.plausibility(&Env::singleton(b)), 1.0);
         // Total conflict: implausible.
-        atms.add_nogood(Env::singleton(a), 1.0);
+        atms.add_nogood(&Env::singleton(a), 1.0);
         assert_eq!(atms.plausibility(&env_ab), 0.0);
     }
 
@@ -459,34 +470,34 @@ mod tests {
         let a = atms.add_assumption();
         let b = atms.add_assumption();
         let ab = Env::from_assumptions([a, b]);
-        atms.add_nogood(ab.clone(), 0.5);
+        atms.add_nogood(&ab, 0.5);
         // Weaker superset information is subsumed.
-        atms.add_nogood(ab.clone(), 0.3);
+        atms.add_nogood(&ab, 0.3);
         assert_eq!(atms.nogoods().len(), 1);
         assert!((atms.nogoods()[0].degree - 0.5).abs() < 1e-12);
         // A stronger subset wipes the pair nogood.
-        atms.add_nogood(Env::singleton(a), 0.9);
+        atms.add_nogood(&Env::singleton(a), 0.9);
         assert_eq!(atms.nogoods().len(), 1);
         assert_eq!(atms.nogoods()[0].env, Env::singleton(a));
         // But a *weaker* subset coexists with a stronger superset.
-        atms.add_nogood(ab, 1.0);
+        atms.add_nogood(&ab, 1.0);
         assert_eq!(atms.nogoods().len(), 2);
         // Zero-degree nogoods are ignored, degrees above 1 clamp.
-        atms.add_nogood(Env::singleton(b), 0.0);
+        atms.add_nogood(&Env::singleton(b), 0.0);
         assert_eq!(atms.nogoods().len(), 2);
-        atms.add_nogood(Env::singleton(b), 7.0);
+        atms.add_nogood(&Env::singleton(b), 7.0);
         assert_eq!(atms.suspicion(b), 1.0);
     }
 
     #[test]
     fn subsumed_installs_leave_the_epoch_alone() {
         let mut atms = FuzzyAtms::new();
-        atms.add_nogood(Env::from_ids([1, 2]), 0.5);
+        atms.add_nogood(&Env::from_ids([1, 2]), 0.5);
         assert_eq!(atms.nogood_epoch(), 1);
-        atms.add_nogood(Env::from_ids([1, 2]), 0.5);
-        atms.add_nogood(Env::from_ids([1, 2, 3]), 0.4);
+        atms.add_nogood(&Env::from_ids([1, 2]), 0.5);
+        atms.add_nogood(&Env::from_ids([1, 2, 3]), 0.4);
         assert_eq!(atms.nogood_epoch(), 1);
-        atms.add_nogood(Env::from_ids([1, 2]), 0.9);
+        atms.add_nogood(&Env::from_ids([1, 2]), 0.9);
         assert_eq!(atms.nogood_epoch(), 2);
         assert_eq!(atms.nogoods().len(), 1);
     }
@@ -497,8 +508,8 @@ mod tests {
         let d1 = atms.add_assumption();
         let r1 = atms.add_assumption();
         let r2 = atms.add_assumption();
-        atms.add_nogood(Env::from_assumptions([r1, d1]), 0.5);
-        atms.add_nogood(Env::from_assumptions([r2, d1]), 1.0);
+        atms.add_nogood(&Env::from_assumptions([r1, d1]), 0.5);
+        atms.add_nogood(&Env::from_assumptions([r2, d1]), 1.0);
 
         let sorted = atms.sorted_nogoods();
         assert!((sorted[0].degree - 1.0).abs() < 1e-12);
@@ -523,8 +534,8 @@ mod tests {
         let a = atms.add_assumption();
         let b = atms.add_assumption();
         let run = |atms: &mut FuzzyAtms| {
-            atms.add_nogood(Env::from_assumptions([a, b]), 0.6);
-            atms.add_nogood(Env::singleton(b), 0.3);
+            atms.add_nogood(&Env::from_assumptions([a, b]), 0.6);
+            atms.add_nogood(&Env::singleton(b), 0.3);
             (
                 atms.sorted_nogoods(),
                 atms.ranked_diagnoses(2, 16),
@@ -545,5 +556,107 @@ mod tests {
     fn diagnoses_empty_when_no_conflicts() {
         let atms = FuzzyAtms::new();
         assert!(atms.ranked_diagnoses(usize::MAX, 10).is_empty());
+    }
+
+    #[test]
+    fn subsumed_conflicts_are_neither_interned_nor_logged() {
+        let mut atms = FuzzyAtms::new();
+        atms.add_nogood(&Env::from_ids([1, 2]), 0.5);
+        let (envs, log, epoch) = (
+            atms.envs.len(),
+            atms.install_log.clone(),
+            atms.nogood_epoch(),
+        );
+        // An equal env at a weaker degree and a fresh superset env: both
+        // subsumed, so neither reaches the table.
+        atms.add_nogood(&Env::from_ids([1, 2]), 0.4);
+        atms.add_nogood(&Env::from_ids([1, 2, 7]), 0.5);
+        assert_eq!(atms.envs.len(), envs);
+        assert_eq!(atms.install_log, log);
+        assert_eq!(atms.nogood_epoch(), epoch);
+        // A stronger one is installed and interned.
+        atms.add_nogood(&Env::from_ids([1, 2, 7]), 0.9);
+        assert_eq!(atms.envs.len(), envs + 1);
+        assert_eq!(atms.nogood_epoch(), epoch + 1);
+    }
+
+    /// The install this store ran before subsumption was probed on the
+    /// raw environment: intern first, then test subsumption by id.
+    fn intern_first_install(atms: &mut FuzzyAtms, env: Env, degree: f64) {
+        if degree <= 0.0 {
+            return;
+        }
+        let degree = degree.min(1.0);
+        let ngid = atms.envs.intern_owned(env);
+        let mut stats = SubsetStats::default();
+        let subsumed = atms.nogood_ids.iter().zip(&atms.nogoods).any(|(&id, n)| {
+            n.degree >= degree && atms.envs.is_subset_counted(id, ngid, &mut stats)
+        });
+        if subsumed {
+            return;
+        }
+        atms.install_log.push(atms.envs.env(ngid).clone());
+        atms.epoch += 1;
+        let mut w = 0;
+        for r in 0..atms.nogoods.len() {
+            let dominated = degree >= atms.nogoods[r].degree
+                && atms
+                    .envs
+                    .is_subset_counted(ngid, atms.nogood_ids[r], &mut stats);
+            if !dominated {
+                atms.nogoods.swap(w, r);
+                atms.nogood_ids.swap(w, r);
+                w += 1;
+            }
+        }
+        atms.nogoods.truncate(w);
+        atms.nogood_ids.truncate(w);
+        atms.nogoods.push(Nogood {
+            env: atms.envs.env(ngid).clone(),
+            degree,
+        });
+        atms.nogood_ids.push(ngid);
+    }
+
+    #[test]
+    fn probe_first_matches_the_intern_first_store() {
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..200 {
+            let mut probe = FuzzyAtms::new();
+            let mut reference = FuzzyAtms::new();
+            for _ in 0..8 {
+                probe.add_assumption();
+                reference.add_assumption();
+            }
+            let installs = 1 + next() % 40;
+            for _ in 0..installs {
+                // Small envs over 8 ids (plus an occasional id past the
+                // inline words) and a few degrees, so equal envs,
+                // subsets and ties recur.
+                let mut env = Env::from_ids((0..8).filter(|_| next().is_multiple_of(4)));
+                if next().is_multiple_of(16) {
+                    env.insert(Assumption(200));
+                }
+                let degree = [0.0, 0.3, 0.5, 0.5, 0.8, 1.0][(next() % 6) as usize];
+                probe.add_nogood(&env, degree);
+                intern_first_install(&mut reference, env, degree);
+                assert_eq!(probe.nogoods(), reference.nogoods());
+                assert_eq!(probe.nogood_epoch(), reference.nogood_epoch());
+            }
+            for max_size in [1, 2, 3, usize::MAX] {
+                assert_eq!(
+                    probe.ranked_diagnoses(max_size, 64),
+                    reference.ranked_diagnoses(max_size, 64)
+                );
+            }
+        }
     }
 }

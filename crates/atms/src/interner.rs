@@ -197,6 +197,30 @@ impl EnvTable {
         let ma = &self.envs[a.index()];
         ma.sig & !sig == 0 && ma.env.is_subset_of(env)
     }
+
+    /// [`EnvTable::is_subset_counted`] with a raw right-hand side of
+    /// precomputed cardinality and signature: the same verdict and the
+    /// same accounting as interning `env` first, since an equal
+    /// environment is exactly what would have shared `a`'s id.
+    pub(crate) fn is_subset_of_raw_counted(
+        &self,
+        a: EnvId,
+        env: &Env,
+        len: usize,
+        sig: u64,
+        stats: &mut SubsetStats,
+    ) -> bool {
+        let ma = &self.envs[a.index()];
+        if ma.len as usize == len && ma.sig == sig && ma.env == *env {
+            return true;
+        }
+        stats.checks += 1;
+        if ma.len as usize > len || ma.sig & !sig != 0 {
+            stats.prefilter_rejects += 1;
+            return false;
+        }
+        ma.env.is_subset_of(env)
+    }
 }
 
 /// A FIFO work queue over dense `u32` ids with a word-packed membership

@@ -80,7 +80,7 @@ fn build(stream: &Stream, order: &[usize]) -> FuzzyAtms {
     }
     for &i in order {
         let (env, degree) = &stream.nogoods[i];
-        atms.add_nogood(env.clone(), *degree);
+        atms.add_nogood(env, *degree);
     }
     atms
 }
@@ -165,7 +165,7 @@ fn plausibility_is_monotone_under_nogood_strengthening() {
         // Strengthen: re-install existing nogoods with higher degrees
         // and add a few fresh ones.
         for (env, degree) in nogoods_before.clone() {
-            atms.add_nogood(env, (degree + rng.range(0.0, 0.5)).min(1.0));
+            atms.add_nogood(&env, (degree + rng.range(0.0, 0.5)).min(1.0));
         }
         for _ in 0..3 {
             let len = 1 + rng.below(3) as usize;
@@ -173,7 +173,7 @@ fn plausibility_is_monotone_under_nogood_strengthening() {
                 Env::from_assumptions((0..len).map(|_| {
                     stream.assumptions[rng.below(stream.assumptions.len() as u64) as usize]
                 }));
-            atms.add_nogood(env, rng.range(0.5, 1.0));
+            atms.add_nogood(&env, rng.range(0.5, 1.0));
         }
 
         for (probe, before) in probes.iter().zip(&plaus_before) {

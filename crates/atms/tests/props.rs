@@ -360,9 +360,9 @@ fn plausibility_is_monotone_in_nogoods() {
         let env = Env::from_ids(base.iter().copied());
         let before = atms.plausibility(&env);
         assert_eq!(before, 1.0);
-        atms.add_nogood(env.clone(), d1);
+        atms.add_nogood(&env, d1);
         let mid = atms.plausibility(&env);
-        atms.add_nogood(env.clone(), d2);
+        atms.add_nogood(&env, d2);
         let after = atms.plausibility(&env);
         // More/stronger conflicts never raise plausibility.
         assert!(mid <= before + 1e-12);
@@ -387,7 +387,7 @@ fn ranked_diagnoses_are_hitting_sets() {
             atms.add_assumption();
         }
         for (ids, d) in &conflict_data {
-            atms.add_nogood(Env::from_ids(ids.iter().copied()), *d);
+            atms.add_nogood(&Env::from_ids(ids.iter().copied()), *d);
         }
         let diags = atms.ranked_diagnoses(usize::MAX, 10_000);
         // Diagnoses hit all *retained* nogoods; the store is Pareto-minimal

@@ -51,7 +51,7 @@ fn bench_fuzzy() {
         let assumptions: Vec<_> = (0..12).map(|_| atms.add_assumption()).collect();
         for k in 0..12 {
             let env = Env::from_assumptions([assumptions[k % 12], assumptions[(k + 3) % 12]]);
-            atms.add_nogood(env, 0.3 + 0.05 * k as f64);
+            atms.add_nogood(&env, 0.3 + 0.05 * k as f64);
         }
         black_box(atms.ranked_diagnoses(2, 256).len())
     });

@@ -70,8 +70,8 @@ fn main() {
     let d1 = atms.add_assumption();
     let r1 = atms.add_assumption();
     let r2 = atms.add_assumption();
-    atms.add_nogood(Env::from_assumptions([r1, d1]), 1.0 - mu1);
-    atms.add_nogood(Env::from_assumptions([r2, d1]), 1.0 - mu2);
+    atms.add_nogood(&Env::from_assumptions([r1, d1]), 1.0 - mu1);
+    atms.add_nogood(&Env::from_assumptions([r2, d1]), 1.0 - mu2);
     println!(
         "  Nogood{{r1, d1}} with degree {:.2} (paper: 0.5)",
         1.0 - mu1

@@ -226,7 +226,7 @@ fn run_new_nogoods(w: &[(Vec<u32>, f64)]) -> usize {
         atms.add_assumption();
     }
     for (ids, d) in w {
-        atms.add_nogood(Env::from_ids(ids.iter().copied()), *d);
+        atms.add_nogood(&Env::from_ids(ids.iter().copied()), *d);
     }
     atms.nogoods().len()
 }

@@ -36,8 +36,10 @@
 //! the incremental candidate sets must match the batch oracle after
 //! every single install, every fast probe run must reproduce the oracle
 //! run byte-for-byte, and `recommend` / `probe_batch_lanes` must be
-//! byte-identical across 1/2/4/8 threads. Writes `BENCH_strategy.json`
-//! in the current directory and exits non-zero if a gate fails.
+//! byte-identical across 1/2/4/8 threads. The probe-loop and planning
+//! pairs are timed interleaved (`Harness::bench_pair`). Writes
+//! `BENCH_strategy.json` in the current directory and exits non-zero
+//! if a gate fails.
 
 use flames_atms::{Env, FuzzyAtms};
 use flames_bench::harness::Harness;
@@ -99,7 +101,7 @@ fn run_ladder_incremental(atms: &mut FuzzyAtms, ladder: &[(Env, f64)]) -> usize 
     atms.reset();
     let mut total = 0;
     for (env, degree) in ladder {
-        atms.add_nogood(env.clone(), *degree);
+        atms.add_nogood(env, *degree);
         total += atms.ranked_diagnoses(2, 64).len();
     }
     total
@@ -110,7 +112,7 @@ fn run_ladder_rebuild(atms: &mut FuzzyAtms, ladder: &[(Env, f64)]) -> usize {
     atms.reset();
     let mut total = 0;
     for (env, degree) in ladder {
-        atms.add_nogood(env.clone(), *degree);
+        atms.add_nogood(env, *degree);
         total += atms.ranked_diagnoses_oracle(2, 64).len();
     }
     total
@@ -351,7 +353,7 @@ fn main() {
     for ladder in &ladders {
         atms.reset();
         for (env, degree) in ladder {
-            atms.add_nogood(env.clone(), *degree);
+            atms.add_nogood(env, *degree);
             // A max_count neither path can saturate, so both return the
             // full ranked antichain of size ≤ 2.
             let incremental = atms.ranked_diagnoses(2, 4096);
@@ -478,18 +480,20 @@ fn main() {
     // constraint network, identical work on both paths (DESIGN.md
     // §10–11), so these rows are no-regression bounds; the ≥3× claim is
     // gated on the planning component below, where the two paths
-    // actually differ.
+    // actually differ. Both are timed interleaved (`bench_pair`): the
+    // ratio of two near-equal back-to-back timings is mostly host
+    // drift, which the per-round ratios cancel.
     let hp = Harness::new("exp_strategy").with_budget(Duration::from_secs(2));
     let mut rows = Vec::new();
     for w in [&amp, &casc, &ladder] {
         let runs = (w.boards.len() * 2) as f64;
-        let fast_ns = hp.bench(&format!("probe_loop/{}/fast", w.label), || {
-            black_box(run_fast(w, 1))
-        }) / runs;
-        let oracle_ns = hp.bench(&format!("probe_loop/{}/oracle", w.label), || {
-            black_box(run_oracle(w))
-        }) / runs;
-        rows.push((w.label, runs, fast_ns, oracle_ns, oracle_ns / fast_ns));
+        let t = hp.bench_pair(
+            &format!("probe_loop/{}/oracle", w.label),
+            &format!("probe_loop/{}/fast", w.label),
+            || black_box(run_oracle(w)),
+            || black_box(run_fast(w, 1)),
+        );
+        rows.push((w.label, runs, t.b_ns / runs, t.a_ns / runs, t.a_over_b));
     }
 
     // ----- timing: the planning component of those same loops ----------
@@ -500,11 +504,15 @@ fn main() {
         .flat_map(planning_trajectories)
         .collect();
     let states: usize = trajectories.iter().map(|(_, s)| s.len()).sum();
-    let plan_fast_ns =
-        hp.bench("planning/fast", || black_box(plan_fast(&trajectories))) / states as f64;
-    let plan_oracle_ns =
-        hp.bench("planning/oracle", || black_box(plan_oracle(&trajectories))) / states as f64;
-    let planning_speedup = plan_oracle_ns / plan_fast_ns;
+    let planning = hp.bench_pair(
+        "planning/oracle",
+        "planning/fast",
+        || black_box(plan_oracle(&trajectories)),
+        || black_box(plan_fast(&trajectories)),
+    );
+    let plan_fast_ns = planning.b_ns / states as f64;
+    let plan_oracle_ns = planning.a_ns / states as f64;
+    let planning_speedup = planning.a_over_b;
 
     // ----- timing: parallel fleet probing ------------------------------
     let boards = ladder.boards.len() as f64;

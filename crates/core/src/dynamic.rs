@@ -262,7 +262,7 @@ impl AcSession<'_> {
                     .iter()
                     .map(|c| self.comp_assumptions[c.index()]),
             );
-            self.atms.add_nogood(env, conflict);
+            self.atms.add_nogood(&env, conflict);
         }
         Ok(())
     }

@@ -198,11 +198,9 @@ impl EntryColumns {
         self.measured[i] = e.measured;
     }
 
-    /// Drops every row whose `keep` flag is false, preserving order;
-    /// returns how many were dropped.
-    fn retain_kept(&mut self, keep: &[bool]) -> usize {
+    /// Drops every row whose `keep` flag is false, preserving order.
+    fn retain_kept(&mut self, keep: &[bool]) {
         debug_assert_eq!(keep.len(), self.len());
-        let n = self.len();
         let mut w = 0usize;
         for (r, &kept) in keep.iter().enumerate() {
             if !kept {
@@ -228,7 +226,6 @@ impl EntryColumns {
         self.degree.truncate(w);
         self.measured.truncate(w);
         self.env.truncate(w);
-        n - w
     }
 }
 
@@ -582,6 +579,9 @@ pub(crate) struct PropState {
     /// Reusable keep-mask of the dominance retain pass in
     /// [`PropState::insert`].
     scratch_keep: Vec<bool>,
+    /// Reusable buffer of one insert's conflicting coincidences and
+    /// their nogood degrees — drained before the insert returns.
+    scratch_conflicts: Vec<(CoincidenceRecord, f64)>,
 }
 
 /// The propagation engine: quantity labels, the fuzzy ATMS, and the
@@ -709,6 +709,7 @@ impl<'n> Propagator<'n> {
             dirty: Vec::new(),
             scratch_derived: Vec::new(),
             scratch_keep: Vec::new(),
+            scratch_conflicts: Vec::new(),
         };
         let mut prop = Self {
             network,
@@ -898,7 +899,7 @@ impl<'n> Propagator<'n> {
     }
 
     /// Installs an external graded nogood (e.g. from a fault-model rule).
-    pub fn add_nogood(&mut self, env: Env, degree: f64) {
+    pub fn add_nogood(&mut self, env: &Env, degree: f64) {
         self.state.atms.add_nogood(env, degree);
     }
 
@@ -1444,8 +1445,17 @@ impl PropState {
         // possibilistic-ATMS reading of the paper's partial conflicts.
         // (The asymmetric area-based Dc is reserved for the
         // measured-vs-nominal test-point comparison in the engine.)
+        //
+        // The same pass decides both dominance directions: whether a
+        // held entry makes the incoming one redundant (`dominated`), and
+        // which held entries the incoming one meaningfully improves on
+        // (`keep[i] == false`). The mask is applied as one compaction
+        // after the conflicts are reported, which touches only the
+        // coincidence list and the nogood store, never the columns.
         let mut dominated = false;
-        let mut conflicts: Vec<(CoincidenceRecord, f64)> = Vec::new();
+        let mut conflicts = std::mem::take(&mut self.scratch_conflicts);
+        let mut keep = std::mem::take(&mut self.scratch_keep);
+        let mut drops = 0usize;
         // Coincidence tallies [corroborations, splits, partial, total]:
         // accumulated locally, flushed as one atomic add per kind.
         let mut tally = [0u64; 4];
@@ -1500,6 +1510,8 @@ impl PropState {
         let om = W4::splat(1.0 - config.min_tightening);
         let inc_w4 = W4::splat(inc_width);
         let inc_deg = W4::splat(incoming.degree - 1e-12);
+        let inc_deg_keep = W4::splat(incoming.degree);
+        let eps = W4::splat(1e-12);
         let mut sig_groups = 0u64;
         while i0 + 4 <= list.len() {
             let ev = Traps4::load(&list.m1, &list.m2, &list.alpha, &list.beta, i0);
@@ -1532,29 +1544,39 @@ impl PropState {
                     push_conflict(i0 + l, kind, pi.lane(l), conflict.lane(l), &mut conflicts);
                 }
             }
-            // Dominance prefilter, 4 signatures per step: candidate
-            // lanes must pass the word test, the degree bound and
-            // the width/inclusion geometry before the (expensive)
-            // bitset subset walk runs scalar.
+            // Dominance prefilter, both directions, 4 signatures per
+            // step: candidate lanes must pass the word test, the degree
+            // bound and the width/inclusion geometry before the
+            // (expensive) bitset subset walk runs scalar. Incoming ⊆
+            // existing needs `inc_sig & !sig == 0`.
             sig_groups += 1;
             let sig: &[u64; 4] = list.sig[i0..i0 + 4].try_into().expect("4-lane window");
-            let deg_ok = W4::load(&list.degree, i0).ge(inc_deg);
+            let degs = W4::load(&list.degree, i0);
             let meaningful = inc_w4.le(width4(&ev).mul(om));
             let geom = ev_in_inc.or(meaningful.not().and(inc_in_ev));
-            let cand = deg_ok.and(geom);
+            let cand = degs.ge(inc_deg).and(geom);
+            let drop_cand = inc_deg_keep
+                .ge(degs.sub(eps))
+                .and(inc_in_ev)
+                .and(meaningful);
             for (l, &s) in sig.iter().enumerate() {
-                if s & !inc_sig == 0 && cand.lane(l) && list.env(i0 + l).is_subset_of(&incoming.env)
-                {
+                let held = list.env(i0 + l);
+                if s & !inc_sig == 0 && cand.lane(l) && held.is_subset_of(&incoming.env) {
                     dominated = true;
                 }
+                let drop =
+                    inc_sig & !s == 0 && drop_cand.lane(l) && incoming.env.is_subset_of(held);
+                keep.push(!drop);
+                drops += usize::from(drop);
             }
             i0 += 4;
         }
         flames_obs::metrics().sig_prefilter_vec.add(sig_groups);
         for i in i0..list.len() {
             let evalue = list.value(i);
-            let nested =
-                incoming.value.is_included_in(&evalue) || evalue.is_included_in(&incoming.value);
+            let inc_in_ev = incoming.value.is_included_in(&evalue);
+            let ev_in_inc = evalue.is_included_in(&incoming.value);
+            let nested = inc_in_ev || ev_in_inc;
             // `possibility_of` is bitwise symmetric, so the record's
             // Vm/Vn orientation (applied in `push_conflict`) does not
             // change the degree.
@@ -1591,17 +1613,23 @@ impl PropState {
             // refinements. The word-signature test is a cheap necessary
             // condition for `existing ⊆ incoming` that skips the bitset
             // walk for most non-subset pairs.
+            let meaningful = inc_width <= list.width(i) * (1.0 - config.min_tightening);
             if list.sig(i) & !inc_sig == 0
                 && list.env(i).is_subset_of(&incoming.env)
                 && list.degree(i) >= incoming.degree - 1e-12
+                && (ev_in_inc || (!meaningful && inc_in_ev))
             {
-                let meaningful = inc_width <= list.width(i) * (1.0 - config.min_tightening);
-                if evalue.is_included_in(&incoming.value)
-                    || (!meaningful && incoming.value.is_included_in(&evalue))
-                {
-                    dominated = true;
-                }
+                dominated = true;
             }
+            // The converse: the incoming value meaningfully improves on
+            // this entry, which is dropped.
+            let drop = inc_sig & !list.sig(i) == 0
+                && incoming.env.is_subset_of(list.env(i))
+                && incoming.degree >= list.degree(i) - 1e-12
+                && inc_in_ev
+                && meaningful;
+            keep.push(!drop);
+            drops += usize::from(drop);
         }
         {
             let m = flames_obs::metrics();
@@ -1619,64 +1647,20 @@ impl PropState {
                 m.total_conflicts.add(total);
             }
         }
-        for (record, nogood_degree) in conflicts {
-            let env = record.env.clone();
+        for (record, nogood_degree) in conflicts.drain(..) {
+            self.atms.add_nogood(&record.env, nogood_degree);
             self.coincidences.push(record);
-            self.atms.add_nogood(env, nogood_degree);
         }
+        self.scratch_conflicts = conflicts;
+        let list = &mut self.entries[q.index()];
+        if drops > 0 && !dominated {
+            list.retain_kept(&keep);
+        }
+        keep.clear();
+        self.scratch_keep = keep;
         if dominated {
             return false;
         }
-        // Drop entries the incoming one meaningfully improves on. The
-        // keep mask is computed against the immutable columns first, then
-        // applied as one compaction pass.
-        let min_tightening = config.min_tightening;
-        let mut keep = std::mem::take(&mut self.scratch_keep);
-        keep.clear();
-        {
-            let list = &self.entries[q.index()];
-            let mut k0 = 0usize;
-            // Reversed-direction prefilter (incoming ⊆ existing needs
-            // `inc_sig & !sig == 0`): degree, inclusion and width run
-            // 4-wide; only lanes passing everything cheap pay the
-            // scalar bitset subset walk.
-            let inc4 = Traps4::splat(&incoming.value);
-            let om = W4::splat(1.0 - min_tightening);
-            let inc_w4 = W4::splat(inc_width);
-            let inc_deg = W4::splat(incoming.degree);
-            let eps = W4::splat(1e-12);
-            let mut sig_groups = 0u64;
-            while k0 + 4 <= list.len() {
-                let ev = Traps4::load(&list.m1, &list.m2, &list.alpha, &list.beta, k0);
-                let deg_ok = inc_deg.ge(W4::load(&list.degree, k0).sub(eps));
-                let tighter = inc_w4.le(width4(&ev).mul(om));
-                let cand = deg_ok.and(included4(&inc4, &ev)).and(tighter);
-                sig_groups += 1;
-                let sig: &[u64; 4] = list.sig[k0..k0 + 4].try_into().expect("4-lane window");
-                for (l, &s) in sig.iter().enumerate() {
-                    keep.push(
-                        !(inc_sig & !s == 0
-                            && cand.lane(l)
-                            && incoming.env.is_subset_of(list.env(k0 + l))),
-                    );
-                }
-                k0 += 4;
-            }
-            flames_obs::metrics().sig_prefilter_vec.add(sig_groups);
-            for i in k0..list.len() {
-                keep.push(
-                    !(inc_sig & !list.sig(i) == 0
-                        && incoming.env.is_subset_of(list.env(i))
-                        && incoming.degree >= list.degree(i) - 1e-12
-                        && incoming.value.is_included_in(&list.value(i))
-                        && inc_width <= list.width(i) * (1.0 - min_tightening)),
-                );
-            }
-        }
-        let list = &mut self.entries[q.index()];
-        let dropped = list.retain_kept(&keep);
-        keep.clear();
-        self.scratch_keep = keep;
         if list.len() >= config.max_entries {
             // The label is full: the incoming value may still replace the
             // widest held entry if it is strictly tighter. (The raw
@@ -1684,20 +1668,18 @@ impl PropState {
             // be evicted by derived values.) This keeps the cap from
             // making results order-dependent — a late probe or a tight
             // conditional derivation must never bounce off stale wide
-            // values.
+            // values. `total_cmp` departs from IEEE order only on a ±0
+            // tie, which picks a zero width that `inc_width < width`
+            // rejects anyway.
             let widest = (0..list.len())
-                .max_by(|&a, &b| {
-                    list.width(a)
-                        .partial_cmp(&list.width(b))
-                        .expect("finite widths")
-                })
+                .max_by(|&a, &b| list.width(a).total_cmp(&list.width(b)))
                 .map(|i| (i, list.width(i)));
             match widest {
                 Some((i, width)) if inc_width < width => {
                     list.set(i, incoming);
                     return true;
                 }
-                _ => return dropped > 0,
+                _ => return drops > 0,
             }
         }
         list.push(incoming);
@@ -1739,15 +1721,15 @@ impl PropState {
                     CoincidenceKind::PartialConflict
                 },
                 consistency: Consistency::from_parts(satisfaction, flames_fuzzy::Direction::High),
-                env: env.clone(),
+                env,
             };
+            self.atms
+                .add_nogood(&record.env, config.tnorm.combine(violation, best_degree));
             // Specs are re-graded at the end of every run; a violation
             // that has not changed must not pile up duplicate records.
             if !self.coincidences.contains(&record) {
                 self.coincidences.push(record);
             }
-            self.atms
-                .add_nogood(env, config.tnorm.combine(violation, best_degree));
         }
     }
 }
@@ -2314,5 +2296,445 @@ mod tests {
             }
         }
         assert!(rows_seen > 1_000);
+    }
+
+    /// The two-pass insert this module shipped before the keep mask was
+    /// fused into the classification pass: classify and test dominance,
+    /// report conflicts, then walk the label columns a second time for
+    /// the keep mask and compact unconditionally. The differential below
+    /// pins [`PropState::insert`] to it.
+    #[allow(clippy::too_many_lines)]
+    fn reference_insert(
+        state: &mut PropState,
+        config: PropagatorConfig,
+        q: QuantityId,
+        value: FuzzyInterval,
+        env: Env,
+        degree: f64,
+        measured: bool,
+    ) -> bool {
+        // Environments already erased by a killing nogood derive nothing.
+        if state.atms.plausibility(&env) <= 0.0 {
+            return false;
+        }
+        let incoming = ValueEntry {
+            value,
+            env,
+            degree,
+            measured,
+        };
+        let inc_sig = incoming.env.word_signature();
+        let inc_width = incoming.value.support_width();
+        let list = &state.entries[q.index()];
+
+        // Coincidence resolution against existing entries (Fig. 4):
+        // inclusion is a split (refinement), overlapping cores a
+        // corroboration, and anything else a conflict graded by the
+        // *possibility of agreement* `π = sup min(μ₁, μ₂)` — the
+        // possibilistic-ATMS reading of the paper's partial conflicts.
+        // (The asymmetric area-based Dc is reserved for the
+        // measured-vs-nominal test-point comparison in the engine.)
+        let mut dominated = false;
+        let mut conflicts: Vec<(CoincidenceRecord, f64)> = Vec::new();
+        // Coincidence tallies [corroborations, splits, partial, total]:
+        // accumulated locally, flushed as one atomic add per kind.
+        let mut tally = [0u64; 4];
+        // Grades the (rare) conflicting coincidence for entry `i`, with
+        // the degree-of-overlap `pi` and `conflict = 1 − pi` already in
+        // hand — `pi` comes out bit-identical whether the entry was
+        // classified in a 4-wide group or in the scalar tail, so both
+        // routes share this body.
+        let push_conflict =
+            |i: usize,
+             kind: CoincidenceKind,
+             pi: f64,
+             conflict: f64,
+             conflicts: &mut Vec<(CoincidenceRecord, f64)>| {
+                let evalue = list.value(i);
+                // Orient the record: the measurement side plays Vm.
+                let (vm, vn) = if list.measured(i) && !incoming.measured {
+                    (&evalue, &incoming.value)
+                } else {
+                    (&incoming.value, &evalue)
+                };
+                let direction = if vm.centroid() < vn.centroid() {
+                    flames_fuzzy::Direction::Low
+                } else {
+                    flames_fuzzy::Direction::High
+                };
+                let nogood_degree = config.tnorm.combine(
+                    conflict,
+                    config.tnorm.combine(incoming.degree, list.degree(i)),
+                );
+                let union_env = incoming.env.union(list.env(i));
+                conflicts.push((
+                    CoincidenceRecord {
+                        quantity: q,
+                        kind,
+                        consistency: Consistency::from_parts(pi, direction),
+                        env: union_env,
+                    },
+                    nogood_degree,
+                ));
+            };
+        let mut i0 = 0usize;
+        // 4-wide classification straight off the label columns. All
+        // lane arithmetic mirrors the scalar expressions bit for bit
+        // (see `flames_fuzzy::simd` and its differential suite), so
+        // records, tallies and the dominance verdict match what the
+        // scalar tail computes for the last 1–3 entries.
+        let inc4 = Traps4::splat(&incoming.value);
+        let zero = W4::splat(0.0);
+        let one = W4::splat(1.0);
+        let thr = W4::splat(config.conflict_threshold);
+        let om = W4::splat(1.0 - config.min_tightening);
+        let inc_w4 = W4::splat(inc_width);
+        let inc_deg = W4::splat(incoming.degree - 1e-12);
+        let mut sig_groups = 0u64;
+        while i0 + 4 <= list.len() {
+            let ev = Traps4::load(&list.m1, &list.m2, &list.alpha, &list.beta, i0);
+            let inc_in_ev = included4(&inc4, &ev);
+            let ev_in_inc = included4(&ev, &inc4);
+            let nested = inc_in_ev.or(ev_in_inc);
+            let pi = possibility4(&inc4, &ev);
+            let conflict = W4::select(nested, zero, one.sub(pi));
+            let noise = conflict.le(thr);
+            let split = noise.and(nested).and(ne4(&inc4, &ev));
+            let total = noise.not().and(pi.le(zero));
+            for l in 0..4 {
+                let kind_slot = if noise.lane(l) {
+                    usize::from(split.lane(l))
+                } else {
+                    3 - usize::from(!total.lane(l))
+                };
+                tally[kind_slot] += 1;
+            }
+            if !noise.all() {
+                for l in 0..4 {
+                    if noise.lane(l) {
+                        continue;
+                    }
+                    let kind = if total.lane(l) {
+                        CoincidenceKind::TotalConflict
+                    } else {
+                        CoincidenceKind::PartialConflict
+                    };
+                    push_conflict(i0 + l, kind, pi.lane(l), conflict.lane(l), &mut conflicts);
+                }
+            }
+            // Dominance prefilter, 4 signatures per step: candidate
+            // lanes must pass the word test, the degree bound and
+            // the width/inclusion geometry before the (expensive)
+            // bitset subset walk runs scalar.
+            sig_groups += 1;
+            let sig: &[u64; 4] = list.sig[i0..i0 + 4].try_into().expect("4-lane window");
+            let deg_ok = W4::load(&list.degree, i0).ge(inc_deg);
+            let meaningful = inc_w4.le(width4(&ev).mul(om));
+            let geom = ev_in_inc.or(meaningful.not().and(inc_in_ev));
+            let cand = deg_ok.and(geom);
+            for (l, &s) in sig.iter().enumerate() {
+                if s & !inc_sig == 0 && cand.lane(l) && list.env(i0 + l).is_subset_of(&incoming.env)
+                {
+                    dominated = true;
+                }
+            }
+            i0 += 4;
+        }
+        flames_obs::metrics().sig_prefilter_vec.add(sig_groups);
+        for i in i0..list.len() {
+            let evalue = list.value(i);
+            let nested =
+                incoming.value.is_included_in(&evalue) || evalue.is_included_in(&incoming.value);
+            // `possibility_of` is bitwise symmetric, so the record's
+            // Vm/Vn orientation (applied in `push_conflict`) does not
+            // change the degree.
+            let pi = incoming.value.possibility_of(&evalue);
+            let conflict = if nested { 0.0 } else { 1.0 - pi };
+            let kind = if conflict <= config.conflict_threshold {
+                if nested && incoming.value != evalue {
+                    CoincidenceKind::Split
+                } else {
+                    CoincidenceKind::Corroboration
+                }
+            } else if pi <= 0.0 {
+                CoincidenceKind::TotalConflict
+            } else {
+                CoincidenceKind::PartialConflict
+            };
+            tally[match kind {
+                CoincidenceKind::Corroboration => 0,
+                CoincidenceKind::Split => 1,
+                CoincidenceKind::PartialConflict => 2,
+                CoincidenceKind::TotalConflict => 3,
+            }] += 1;
+            if matches!(
+                kind,
+                CoincidenceKind::PartialConflict | CoincidenceKind::TotalConflict
+            ) {
+                push_conflict(i, kind, pi, conflict, &mut conflicts);
+            }
+            // Dominance: an existing entry that is at least as general
+            // (subset environment), at least as certain, and at least as
+            // tight — or within the tightening threshold — makes the
+            // incoming value redundant. The threshold is what keeps
+            // fixpoint iteration from churning on infinitesimal
+            // refinements. The word-signature test is a cheap necessary
+            // condition for `existing ⊆ incoming` that skips the bitset
+            // walk for most non-subset pairs.
+            if list.sig(i) & !inc_sig == 0
+                && list.env(i).is_subset_of(&incoming.env)
+                && list.degree(i) >= incoming.degree - 1e-12
+            {
+                let meaningful = inc_width <= list.width(i) * (1.0 - config.min_tightening);
+                if evalue.is_included_in(&incoming.value)
+                    || (!meaningful && incoming.value.is_included_in(&evalue))
+                {
+                    dominated = true;
+                }
+            }
+        }
+        {
+            let m = flames_obs::metrics();
+            let [corr, split, partial, total] = tally;
+            if corr > 0 {
+                m.corroborations.add(corr);
+            }
+            if split > 0 {
+                m.splits.add(split);
+            }
+            if partial > 0 {
+                m.partial_conflicts.add(partial);
+            }
+            if total > 0 {
+                m.total_conflicts.add(total);
+            }
+        }
+        for (record, nogood_degree) in conflicts {
+            let env = record.env.clone();
+            state.coincidences.push(record);
+            state.atms.add_nogood(&env, nogood_degree);
+        }
+        if dominated {
+            return false;
+        }
+        // Drop entries the incoming one meaningfully improves on. The
+        // keep mask is computed against the immutable columns first, then
+        // applied as one compaction pass.
+        let min_tightening = config.min_tightening;
+        let mut keep: Vec<bool> = Vec::new();
+        {
+            let list = &state.entries[q.index()];
+            let mut k0 = 0usize;
+            // Reversed-direction prefilter (incoming ⊆ existing needs
+            // `inc_sig & !sig == 0`): degree, inclusion and width run
+            // 4-wide; only lanes passing everything cheap pay the
+            // scalar bitset subset walk.
+            let inc4 = Traps4::splat(&incoming.value);
+            let om = W4::splat(1.0 - min_tightening);
+            let inc_w4 = W4::splat(inc_width);
+            let inc_deg = W4::splat(incoming.degree);
+            let eps = W4::splat(1e-12);
+            let mut sig_groups = 0u64;
+            while k0 + 4 <= list.len() {
+                let ev = Traps4::load(&list.m1, &list.m2, &list.alpha, &list.beta, k0);
+                let deg_ok = inc_deg.ge(W4::load(&list.degree, k0).sub(eps));
+                let tighter = inc_w4.le(width4(&ev).mul(om));
+                let cand = deg_ok.and(included4(&inc4, &ev)).and(tighter);
+                sig_groups += 1;
+                let sig: &[u64; 4] = list.sig[k0..k0 + 4].try_into().expect("4-lane window");
+                for (l, &s) in sig.iter().enumerate() {
+                    keep.push(
+                        !(inc_sig & !s == 0
+                            && cand.lane(l)
+                            && incoming.env.is_subset_of(list.env(k0 + l))),
+                    );
+                }
+                k0 += 4;
+            }
+            flames_obs::metrics().sig_prefilter_vec.add(sig_groups);
+            for i in k0..list.len() {
+                keep.push(
+                    !(inc_sig & !list.sig(i) == 0
+                        && incoming.env.is_subset_of(list.env(i))
+                        && incoming.degree >= list.degree(i) - 1e-12
+                        && incoming.value.is_included_in(&list.value(i))
+                        && inc_width <= list.width(i) * (1.0 - min_tightening)),
+                );
+            }
+        }
+        let list = &mut state.entries[q.index()];
+        let dropped = keep.iter().filter(|&&k| !k).count();
+        list.retain_kept(&keep);
+        if list.len() >= config.max_entries {
+            // The label is full: the incoming value may still replace the
+            // widest held entry if it is strictly tighter. (The raw
+            // measurement is always the narrowest entry, so it can never
+            // be evicted by derived values.) This keeps the cap from
+            // making results order-dependent — a late probe or a tight
+            // conditional derivation must never bounce off stale wide
+            // values.
+            let widest = (0..list.len())
+                .max_by(|&a, &b| {
+                    list.width(a)
+                        .partial_cmp(&list.width(b))
+                        .expect("finite widths")
+                })
+                .map(|i| (i, list.width(i)));
+            match widest {
+                Some((i, width)) if inc_width < width => {
+                    list.set(i, incoming);
+                    return true;
+                }
+                _ => return dropped > 0,
+            }
+        }
+        list.push(incoming);
+        true
+    }
+
+    /// SplitMix64, inlined so the insert streams need no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[(self.next_u64() % xs.len() as u64) as usize]
+        }
+    }
+
+    /// A label store over `quantities` empty quantities and a
+    /// five-assumption vocabulary, with a degree-1 nogood on {2, 3, 4} so
+    /// some incoming environments arrive already killed.
+    fn blank_state(quantities: usize) -> PropState {
+        let mut atms = FuzzyAtms::new();
+        for _ in 0..5 {
+            atms.add_assumption();
+        }
+        atms.add_nogood(&Env::from_ids([2, 3, 4]), 1.0);
+        PropState {
+            entries: vec![EntryColumns::default(); quantities],
+            atms,
+            coincidences: Vec::new(),
+            disabled_constraints: Vec::new(),
+            ran: false,
+            dirty: Vec::new(),
+            scratch_derived: Vec::new(),
+            scratch_keep: Vec::new(),
+            scratch_conflicts: Vec::new(),
+        }
+    }
+
+    /// One random insert: few centres and spreads (so inclusions, equal
+    /// widths and crisp points recur), environments over five
+    /// assumptions, and degrees that sit 5e-13 apart to straddle both
+    /// dominance rules' `1e-12` slack.
+    fn random_insert(rng: &mut Rng) -> (usize, FuzzyInterval, Env, f64, bool) {
+        let q = usize::from(rng.next_u64().is_multiple_of(4));
+        let c = rng.pick(&[0.0, 1.0, 1.5, 3.0, 10.0]);
+        let core = rng.pick(&[0.0, 0.0, 0.5]);
+        let spread = rng.pick(&[0.0, 0.25, 0.5, 1.0, 2.0]);
+        let skew = rng.pick(&[0.0, 0.0, 0.25]);
+        let value = FuzzyInterval::new(c, c + core, spread, spread + skew).expect("valid");
+        let env = Env::from_ids((0..5).filter(|_| rng.next_u64().is_multiple_of(2)));
+        let degree = rng.pick(&[1.0, 1.0, 0.8, 0.8 - 5e-13, 0.8 + 5e-13, 0.5]);
+        let measured = rng.next_u64().is_multiple_of(10);
+        (q, value, env, degree, measured)
+    }
+
+    /// Everything an insert can change, in exact (`{:?}`) form.
+    fn store_bits(state: &PropState) -> String {
+        format!(
+            "{:?}|{:?}|{:?}|{}",
+            state.entries,
+            state.coincidences,
+            state.atms.nogoods(),
+            state.atms.nogood_epoch()
+        )
+    }
+
+    #[test]
+    fn insert_matches_the_two_pass_reference() {
+        // Cases the streams must reach, counted against the reference's
+        // inputs: [dominated, drop below cap, drop at cap, crisp, equal
+        // width at cap, killed].
+        let mut seen = [0usize; 6];
+        for max_entries in [2, 3, 8] {
+            let config = PropagatorConfig {
+                max_entries,
+                ..PropagatorConfig::default()
+            };
+            for seed in 0..100u64 {
+                let mut rng = Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ max_entries as u64);
+                let mut fused = blank_state(2);
+                let mut reference = blank_state(2);
+                for step in 0..80 {
+                    let (qi, value, env, degree, measured) = random_insert(&mut rng);
+                    let q = QuantityId::from_raw(qi);
+                    let list = &reference.entries[qi];
+                    let inc_width = value.support_width();
+                    let held: Vec<ValueEntry> = list.to_entries();
+                    let full = held.len() >= max_entries;
+                    if reference.atms.plausibility(&env) <= 0.0 {
+                        seen[5] += 1;
+                    } else {
+                        let dominated = held.iter().any(|h| {
+                            h.env.is_subset_of(&env)
+                                && h.degree >= degree - 1e-12
+                                && (h.value.is_included_in(&value)
+                                    || (inc_width
+                                        > h.value.support_width() * (1.0 - config.min_tightening)
+                                        && value.is_included_in(&h.value)))
+                        });
+                        let drops = held.iter().any(|h| {
+                            env.is_subset_of(&h.env)
+                                && degree >= h.degree - 1e-12
+                                && value.is_included_in(&h.value)
+                                && inc_width
+                                    <= h.value.support_width() * (1.0 - config.min_tightening)
+                        });
+                        seen[0] += usize::from(dominated);
+                        if drops && !dominated {
+                            seen[if full { 2 } else { 1 }] += 1;
+                        }
+                        seen[3] += usize::from(inc_width == 0.0);
+                        seen[4] += usize::from(
+                            full && !dominated
+                                && !drops
+                                && held
+                                    .iter()
+                                    .map(|h| h.value.support_width())
+                                    .fold(f64::NEG_INFINITY, f64::max)
+                                    == inc_width,
+                        );
+                    }
+                    let want = reference_insert(
+                        &mut reference,
+                        config,
+                        q,
+                        value,
+                        env.clone(),
+                        degree,
+                        measured,
+                    );
+                    let got = fused.insert(config, q, value, env, degree, measured);
+                    assert_eq!(got, want, "max {max_entries} seed {seed} step {step}");
+                    assert_eq!(
+                        store_bits(&fused),
+                        store_bits(&reference),
+                        "max {max_entries} seed {seed} step {step}"
+                    );
+                }
+            }
+        }
+        for (case, &n) in seen.iter().enumerate() {
+            assert!(n >= 20, "case {case} reached only {n} times: {seen:?}");
+        }
     }
 }

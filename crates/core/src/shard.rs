@@ -372,7 +372,7 @@ fn exchange_to_quiescence(
                     }
                     let before = props[dst].atms().nogood_epoch();
                     let local = localize_into(&mut maps[dst], &mut props[dst], env);
-                    props[dst].add_nogood(local, *degree);
+                    props[dst].add_nogood(&local, *degree);
                     if props[dst].atms().nogood_epoch() != before {
                         changed = true;
                         metrics.shard_cross_nogoods.incr();
@@ -466,7 +466,7 @@ impl ShardedSession<'_> {
         let mut merged = FuzzyAtms::new();
         for (prop, map) in self.props.iter().zip(&self.maps) {
             for n in prop.atms().nogoods() {
-                merged.add_nogood(map.globalize(&n.env), n.degree);
+                merged.add_nogood(&map.globalize(&n.env), n.degree);
             }
         }
         merged

@@ -45,6 +45,9 @@ macro_rules! define_metrics {
 
 define_metrics! {
     // ATMS kernel -----------------------------------------------------
+    // Environment-table interns. `FuzzyAtms::add_nogood` probes a
+    // conflict against the store raw and interns only what it installs,
+    // so on the nogood path these count installs, not conflicts.
     env_intern_hits => "atms.env_intern_hits",
     env_intern_misses => "atms.env_intern_misses",
     subsumption_checks => "atms.subsumption_checks",
@@ -64,9 +67,10 @@ define_metrics! {
     // Propagation engine ----------------------------------------------
     waves => "core.waves",
     constraint_apps => "core.constraint_apps",
-    // 4-wide signature prefilter groups of the coincidence scans (own
-    // prefix: kept out of the thread-count invariance assertions that
-    // cover `atms.` / `core.`).
+    // 4-wide signature prefilter groups of the coincidence scan — one
+    // count per group per insert, covering both dominance directions
+    // (own prefix: kept out of the thread-count invariance assertions
+    // that cover `atms.` / `core.`).
     sig_prefilter_vec => "prop.sig_prefilter_vec",
     corroborations => "core.coincidence_corroborations",
     splits => "core.coincidence_splits",

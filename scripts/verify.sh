@@ -11,6 +11,22 @@ cargo build --release --workspace
 echo "==> cargo build svcbench (the service benchmark, a package outside the workspace)"
 cargo build --release --locked --offline --manifest-path svcbench/Cargo.toml
 
+# svcbench exits 0 even when an output is wrong; its last line carries
+# the verdict. This is the only check of served bytes against the
+# in-process reference on build_large and serve_recurring.
+echo "==> svcbench correctness smoke (each workload, 1 s: last line must report \"correct\":true)"
+for workload in serve_novel serve_recurring build_large; do
+    last=$(cargo run --release --locked --offline --quiet --manifest-path svcbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    case "$last" in
+        *'"correct":true'*) echo "    $workload: correct" ;;
+        *)
+            echo "!! svcbench $workload: outputs differ from the in-process reference: $last"
+            exit 1
+            ;;
+    esac
+done
+
 echo "==> cargo test (tier-1, incl. differential fuzzy-vs-crisp suite)"
 cargo test -q --workspace
 

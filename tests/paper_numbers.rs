@@ -73,8 +73,8 @@ fn fig5_degrees_and_candidates() {
     let d1 = atms.add_assumption();
     let r1 = atms.add_assumption();
     let r2 = atms.add_assumption();
-    atms.add_nogood(Env::from_assumptions([r1, d1]), 0.5);
-    atms.add_nogood(Env::from_assumptions([r2, d1]), 1.0);
+    atms.add_nogood(&Env::from_assumptions([r1, d1]), 0.5);
+    atms.add_nogood(&Env::from_assumptions([r2, d1]), 1.0);
 
     // Classic candidate set: [d1] or [r1, r2].
     let envs: Vec<Env> = atms.nogoods().iter().map(|n| n.env.clone()).collect();
