@@ -6,11 +6,10 @@
 //!
 //! * **kernel** — `Consistency::between` (closed-form, stack-only)
 //!   versus the retained PWL fallback (`to_pwl`, polyline intersection
-//!   and area — the pre-refactor cost per comparison), and the 4-wide
-//!   batch kernel `between_batch` — the entry point the engine's
-//!   reports and the rule store call — versus the scalar closed form,
-//!   on a fixed fleet of random trapezoid pairs. Gates: closed-form
-//!   ≥ 3× PWL; batch ≥ 2× closed-form.
+//!   and area — the pre-refactor cost per comparison), on a fixed fleet
+//!   of random trapezoid pairs. The closed form is the one `Dc` the
+//!   engine's reports and the rule store grade with. Gate: closed-form
+//!   ≥ 3× PWL.
 //! * **lanes** — `diagnose_batch_lanes` (one schedule traversal per
 //!   wave amortised over up to 64 warm sessions) versus the same call
 //!   at lane width 1 (each board propagated alone) on the paper's
@@ -22,9 +21,8 @@
 //!
 //! Before any timing, the gates assert the fast paths are byte-exact:
 //! every kernel pair must agree with the PWL fallback to 1e-12 and in
-//! direction, the batch kernel with the scalar oracle likewise, and
-//! the lane batch must reproduce the per-board reports byte-identically.
-//! The gated speedups are measured with [`Harness::bench_pair`] —
+//! direction, and the lane batch must reproduce the per-board reports
+//! byte-identically. The gated speedups are measured with [`Harness::bench_pair`] —
 //! interleaved rounds whose per-round ratios cancel host-noise drift —
 //! because on a busy or thermally-throttling host two back-to-back
 //! absolute measurements would absorb the drift into the ratio. Writes
@@ -166,47 +164,6 @@ fn main() {
     let closed_ns = kernel.b_ns / PAIRS as f64;
     let kernel_speedup = kernel.a_over_b;
 
-    // ----- batch kernel: 4-wide Dc vs scalar closed form -------------
-    let vms: Vec<FuzzyInterval> = pairs.iter().map(|(vm, _)| *vm).collect();
-    let vns: Vec<FuzzyInterval> = pairs.iter().map(|(_, vn)| *vn).collect();
-
-    // Exactness gate before timing: the batch kernel carries a ≤1e-12
-    // degree + direction-equality contract against the scalar oracle.
-    let mut batch_out = Vec::new();
-    Consistency::between_batch(&vms, &vns, &mut batch_out);
-    for (i, ((vm, vn), batch)) in pairs.iter().zip(&batch_out).enumerate() {
-        let scalar = Consistency::between(vm, vn);
-        assert!(
-            (batch.degree() - scalar.degree()).abs() <= 1e-12,
-            "pair {i}: batch {} != scalar {}",
-            batch.degree(),
-            scalar.degree()
-        );
-        assert_eq!(batch.direction(), scalar.direction(), "pair {i}: direction");
-    }
-    println!("batch exactness gate passed: {PAIRS} pairs agree to 1e-12\n");
-
-    let batch = h.bench_pair(
-        "dc_closed_form_vs_batch",
-        "dc_batch",
-        || {
-            let mut acc = 0.0;
-            for (vm, vn) in &pairs {
-                acc += Consistency::between(black_box(vm), black_box(vn)).degree();
-            }
-            black_box(acc)
-        },
-        || {
-            let mut out = std::mem::take(&mut batch_out);
-            out.clear();
-            Consistency::between_batch(black_box(&vms), black_box(&vns), &mut out);
-            batch_out = out;
-            black_box(batch_out.len())
-        },
-    );
-    let batch_ns = batch.b_ns / PAIRS as f64;
-    let batch_speedup = batch.a_over_b;
-
     // ----- lanes: joint vs per-board propagation ---------------------
     let ts = three_stage(0.05);
     let diagnoser = Diagnoser::from_netlist(
@@ -258,9 +215,7 @@ fn main() {
             "    \"pairs\": {pairs},\n",
             "    \"closed_form_ns_per_op\": {closed:.1},\n",
             "    \"pwl_ns_per_op\": {pwl:.1},\n",
-            "    \"speedup\": {kspeed:.2},\n",
-            "    \"batch_ns_per_op\": {batch:.1},\n",
-            "    \"batch_speedup\": {bspeed:.2}\n",
+            "    \"speedup\": {kspeed:.2}\n",
             "  }},\n",
             "  \"lanes\": {{\n",
             "    \"circuit\": \"three_stage(0.05)\",\n",
@@ -279,8 +234,6 @@ fn main() {
         closed = closed_ns,
         pwl = pwl_ns,
         kspeed = kernel_speedup,
-        batch = batch_ns,
-        bspeed = batch_speedup,
         boards = BOARDS,
         width = LANE_WIDTH,
         pb = per_board_ns,
@@ -295,11 +248,6 @@ fn main() {
     assert!(
         kernel_speedup >= 3.0,
         "closed-form Dc must be at least 3x the PWL fallback, measured {kernel_speedup:.2}x"
-    );
-    assert!(
-        batch_speedup >= 2.0,
-        "4-wide batch Dc must be at least 2x the scalar closed form, \
-         measured {batch_speedup:.2}x"
     );
     assert!(
         lane_speedup >= 0.9,

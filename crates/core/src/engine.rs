@@ -50,6 +50,29 @@ pub struct PointReport {
     pub consistency: Option<Consistency>,
 }
 
+/// Grades every test point: `Dc(measured, predicted)` through the closed
+/// form [`Consistency::between`] for each probed point. The one grading
+/// behind [`Session::report`], the sharded report and the rule store's
+/// symptom and hit-report paths, so a point's degree is the same number
+/// wherever it is read.
+pub(crate) fn point_reports(
+    test_points: &[TestPoint],
+    predictions: &[FuzzyInterval],
+    measured: &[Option<FuzzyInterval>],
+) -> Vec<PointReport> {
+    test_points
+        .iter()
+        .zip(predictions)
+        .zip(measured)
+        .map(|((tp, predicted), measured)| PointReport {
+            name: tp.name.clone(),
+            predicted: *predicted,
+            measured: *measured,
+            consistency: measured.map(|m| Consistency::between(&m, predicted)),
+        })
+        .collect()
+}
+
 /// A diagnosis snapshot: per-point consistencies, the graded nogoods, and
 /// the ranked candidates — the content of the paper's Fig. 7 table rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -283,6 +306,12 @@ impl Diagnoser {
     pub fn prediction(&self, point: usize) -> &FuzzyInterval {
         self.prediction_checked(point)
             .expect("test-point index out of range")
+    }
+
+    /// [`point_reports`] of this model's test points for one board's
+    /// measurements (`None` where a point was not probed).
+    pub(crate) fn point_reports(&self, measured: &[Option<FuzzyInterval>]) -> Vec<PointReport> {
+        point_reports(&self.model.test_points, &self.model.predictions, measured)
     }
 
     /// The extracted constraint network.
@@ -862,32 +891,7 @@ impl<'d> Session<'d> {
     /// Builds the full snapshot report.
     #[must_use]
     pub fn report(&self) -> Report {
-        let model = Arc::as_ref(&self.diagnoser.model);
-        // Grade every measured point in one batch through the 4-wide Dc
-        // kernel (tail pairs take the identical splatted lane math).
-        let mut vms = Vec::with_capacity(self.measured.len());
-        let mut vns = Vec::with_capacity(self.measured.len());
-        for (idx, m) in self.measured.iter().enumerate() {
-            if let Some(m) = m {
-                vms.push(*m);
-                vns.push(model.predictions[idx]);
-            }
-        }
-        let mut dcs = Vec::new();
-        Consistency::between_batch(&vms, &vns, &mut dcs);
-        let mut graded = dcs.iter().copied();
-        let points = model
-            .test_points
-            .iter()
-            .enumerate()
-            .map(|(idx, tp)| PointReport {
-                name: tp.name.clone(),
-                predicted: model.predictions[idx],
-                measured: self.measured[idx],
-                consistency: self.measured[idx]
-                    .map(|_| graded.next().expect("one grade per measured point")),
-            })
-            .collect();
+        let points = self.diagnoser.point_reports(&self.measured);
         let nogoods = self
             .prop
             .atms()

@@ -11,7 +11,7 @@
 //! symptom set to a culprit (and optionally its fault mode) with a
 //! certainty degree that grows as the rule is re-confirmed.
 
-use crate::engine::Report;
+use crate::engine::{PointReport, Report};
 use flames_fuzzy::{Consistency, Direction};
 use std::fmt;
 
@@ -77,8 +77,12 @@ impl fmt::Display for Symptom {
 /// only, consistent points included — they are discriminating evidence).
 #[must_use]
 pub fn symptoms_of(report: &Report) -> Vec<Symptom> {
-    let mut out: Vec<Symptom> = report
-        .points
+    point_symptoms(&report.points)
+}
+
+/// The sorted symptom set of graded report points (probed points only).
+pub(crate) fn point_symptoms(points: &[PointReport]) -> Vec<Symptom> {
+    let mut out: Vec<Symptom> = points
         .iter()
         .filter_map(|p| {
             let dc = p.consistency?;
@@ -305,104 +309,6 @@ pub(crate) fn dedup_suggestions(out: &mut Vec<Suggestion>) {
     });
 }
 
-impl KnowledgeBase {
-    /// Serializes the knowledge base to a plain-text format (one rule per
-    /// line), so a bench session's experience survives restarts:
-    ///
-    /// ```text
-    /// culprit \t mode-or-'-' \t certainty \t confirmations \t point,direction,severity ; …
-    /// ```
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for rule in &self.rules {
-            let syms: Vec<String> = rule
-                .symptoms
-                .iter()
-                .map(|s| format!("{},{},{}", s.point, s.direction, s.severity))
-                .collect();
-            // Certainty is written with the shortest round-trip `{}`
-            // rendering: `str::parse::<f64>` restores the exact bits, so
-            // a save/load cycle cannot drift from the in-memory store
-            // (a `{:.6}` truncation here used to).
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\n",
-                rule.culprit,
-                rule.mode.as_deref().unwrap_or("-"),
-                rule.certainty,
-                rule.confirmations,
-                syms.join(";")
-            ));
-        }
-        out
-    }
-
-    /// Parses a knowledge base previously written by
-    /// [`KnowledgeBase::to_text`]. Malformed lines are reported with their
-    /// 1-based line number.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::CoreError::UnknownName`] naming the offending line
-    /// when a field fails to parse.
-    pub fn from_text(text: &str) -> crate::Result<Self> {
-        let bad = |lineno: usize| crate::CoreError::UnknownName {
-            name: format!("knowledge-base line {lineno}"),
-        };
-        let mut kb = Self::new();
-        for (k, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split('\t').collect();
-            if fields.len() != 5 {
-                return Err(bad(k + 1));
-            }
-            let culprit = fields[0].to_owned();
-            let mode = (fields[1] != "-").then(|| fields[1].to_owned());
-            let certainty: f64 = fields[2].parse().map_err(|_| bad(k + 1))?;
-            let confirmations: u32 = fields[3].parse().map_err(|_| bad(k + 1))?;
-            if !(0.0..=1.0).contains(&certainty) {
-                return Err(bad(k + 1));
-            }
-            let mut symptoms = Vec::new();
-            for part in fields[4].split(';').filter(|p| !p.is_empty()) {
-                let bits: Vec<&str> = part.split(',').collect();
-                if bits.len() != 3 {
-                    return Err(bad(k + 1));
-                }
-                let direction = match bits[1] {
-                    "low" => Direction::Low,
-                    "within" => Direction::Within,
-                    "high" => Direction::High,
-                    _ => return Err(bad(k + 1)),
-                };
-                let severity = match bits[2] {
-                    "consistent" => Severity::Consistent,
-                    "slight" => Severity::Slight,
-                    "strong" => Severity::Strong,
-                    "total" => Severity::Total,
-                    _ => return Err(bad(k + 1)),
-                };
-                symptoms.push(Symptom {
-                    point: bits[0].to_owned(),
-                    direction,
-                    severity,
-                });
-            }
-            symptoms.sort();
-            kb.rules.push(SymptomRule {
-                symptoms,
-                culprit,
-                mode,
-                certainty,
-                confirmations,
-            });
-        }
-        Ok(kb)
-    }
-}
-
 impl<'a> IntoIterator for &'a KnowledgeBase {
     type Item = &'a SymptomRule;
     type IntoIter = std::slice::Iter<'a, SymptomRule>;
@@ -562,80 +468,6 @@ mod tests {
         assert_eq!(kb.len(), 1);
         assert!(kb.evict_weakest().is_some());
         assert!(kb.evict_weakest().is_none());
-    }
-
-    /// Regression: `to_text` used to truncate certainty to six decimals,
-    /// so a save/load/confirm cycle drifted from the in-memory store.
-    #[test]
-    fn text_round_trip_is_bit_exact_under_further_learning() {
-        let mut kb = KnowledgeBase::new();
-        let syms = vec![sym("V1", Direction::Low, Severity::Total)];
-        // Certainty 1 - 0.5·0.7^6 has no short decimal rendering.
-        for _ in 0..7 {
-            kb.learn(syms.clone(), "R3", None);
-        }
-        let mut restored = KnowledgeBase::from_text(&kb.to_text()).unwrap();
-        assert_eq!(
-            restored.iter().next().unwrap().certainty.to_bits(),
-            kb.iter().next().unwrap().certainty.to_bits(),
-            "save/load must restore the exact certainty bits"
-        );
-        // Learning after the round trip stays in lock-step with the
-        // in-memory store.
-        kb.learn(syms.clone(), "R3", None);
-        restored.learn(syms, "R3", None);
-        assert_eq!(
-            restored.iter().next().unwrap().certainty.to_bits(),
-            kb.iter().next().unwrap().certainty.to_bits()
-        );
-    }
-
-    #[test]
-    fn text_round_trip_preserves_rules() {
-        let mut kb = KnowledgeBase::new();
-        kb.learn(
-            vec![
-                sym("V1", Direction::Low, Severity::Total),
-                sym("V2", Direction::High, Severity::Slight),
-            ],
-            "R3",
-            Some("open".to_owned()),
-        );
-        kb.learn(
-            vec![sym("Vs", Direction::High, Severity::Strong)],
-            "T2",
-            None,
-        );
-        kb.learn(
-            vec![sym("Vs", Direction::High, Severity::Strong)],
-            "T2",
-            None,
-        );
-        let text = kb.to_text();
-        let restored = KnowledgeBase::from_text(&text).unwrap();
-        assert_eq!(restored.len(), kb.len());
-        for (a, b) in restored.iter().zip(kb.iter()) {
-            assert_eq!(a.culprit, b.culprit);
-            assert_eq!(a.mode, b.mode);
-            assert_eq!(a.symptoms, b.symptoms);
-            assert_eq!(a.confirmations, b.confirmations);
-            assert!((a.certainty - b.certainty).abs() < 1e-6);
-        }
-        // Suggestions behave identically after the round trip.
-        let obs = vec![sym("Vs", Direction::High, Severity::Strong)];
-        assert_eq!(restored.suggest(&obs).len(), kb.suggest(&obs).len());
-    }
-
-    #[test]
-    fn malformed_text_is_rejected_with_line_numbers() {
-        assert!(KnowledgeBase::from_text("").unwrap().is_empty());
-        assert!(KnowledgeBase::from_text("only\tthree\tfields").is_err());
-        let bad_degree = "R1\t-\t1.7\t2\tV1,low,total";
-        assert!(KnowledgeBase::from_text(bad_degree).is_err());
-        let bad_dir = "R1\t-\t0.5\t2\tV1,sideways,total";
-        assert!(KnowledgeBase::from_text(bad_dir).is_err());
-        let err = KnowledgeBase::from_text("ok\t-\t0.5\t1\tV1,low,total\nbroken").unwrap_err();
-        assert!(format!("{err}").contains("line 2"), "{err}");
     }
 
     #[test]

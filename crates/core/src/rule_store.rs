@@ -36,12 +36,13 @@
 //!   machinery as trace export), with certainties rendered
 //!   shortest-round-trip so experience survives restarts bit-exactly.
 
-use crate::engine::{diagnose_batch_lanes, Board, Candidate, Diagnoser, Report};
+use crate::engine::{diagnose_batch_lanes, Board, Candidate, Diagnoser, PointReport, Report};
 use crate::learning::{
-    dedup_suggestions, symptoms_of, KnowledgeBase, Severity, Suggestion, Symptom, SymptomRule,
+    dedup_suggestions, point_symptoms, symptoms_of, KnowledgeBase, Severity, Suggestion, Symptom,
+    SymptomRule,
 };
 use flames_atms::Env;
-use flames_fuzzy::{Consistency, Direction, FuzzyInterval};
+use flames_fuzzy::{Direction, FuzzyInterval};
 use flames_obs::trace::escape_json;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -551,7 +552,7 @@ impl RuleStore {
 
 /// Discretizes a board's measurements to [`Symptom`]s *without any
 /// propagation*: every measured point is graded against the compiled
-/// nominal prediction with the same batched closed-form `Dc` the full
+/// nominal prediction by the same closed-form `Dc` helper the full
 /// report uses, so the symptom set is bit-identical to
 /// [`symptoms_of`]`(session.report())` for the same board — including
 /// last-write-wins on a twice-measured point.
@@ -561,43 +562,22 @@ impl RuleStore {
 /// Returns [`crate::CoreError::UnknownName`] for an out-of-range point
 /// index, exactly as [`crate::Session::measure_point`] would.
 pub fn board_symptoms(diagnoser: &Diagnoser, board: &Board) -> crate::Result<Vec<Symptom>> {
-    let points = diagnoser.test_points();
-    let mut measured: Vec<Option<FuzzyInterval>> = vec![None; points.len()];
+    Ok(point_symptoms(&board_points(diagnoser, board)?))
+}
+
+/// The report points of one board, measured straight from its readings
+/// (no propagation): last write wins on a twice-measured point.
+fn board_points(diagnoser: &Diagnoser, board: &Board) -> crate::Result<Vec<PointReport>> {
+    let mut measured: Vec<Option<FuzzyInterval>> = vec![None; diagnoser.test_points().len()];
     for &(idx, value) in board {
-        if idx >= points.len() {
-            return Err(crate::CoreError::UnknownName {
+        let slot = measured
+            .get_mut(idx)
+            .ok_or_else(|| crate::CoreError::UnknownName {
                 name: format!("test point #{idx}"),
-            });
-        }
-        measured[idx] = Some(value);
+            })?;
+        *slot = Some(value);
     }
-    let mut vms = Vec::with_capacity(board.len());
-    let mut vns = Vec::with_capacity(board.len());
-    for (idx, m) in measured.iter().enumerate() {
-        if let Some(m) = m {
-            vms.push(*m);
-            vns.push(*diagnoser.prediction(idx));
-        }
-    }
-    let mut dcs = Vec::new();
-    Consistency::between_batch(&vms, &vns, &mut dcs);
-    let mut graded = dcs.iter();
-    let mut out: Vec<Symptom> = measured
-        .iter()
-        .enumerate()
-        .filter_map(|(idx, m)| {
-            m.map(|_| {
-                let dc = graded.next().expect("one grade per measured point");
-                Symptom {
-                    point: points[idx].name.clone(),
-                    direction: dc.direction(),
-                    severity: Severity::from_consistency(dc),
-                }
-            })
-        })
-        .collect();
-    out.sort();
-    Ok(out)
+    Ok(diagnoser.point_reports(&measured))
 }
 
 /// A [`Report`] plus the rule that produced it, when the cache did.
@@ -615,42 +595,21 @@ pub struct CachedReport {
 /// culprit as the single candidate at the suggestion score. Public so
 /// the serving layer's wave loop can short-circuit without re-deriving
 /// the report shape.
+///
+/// # Panics
+///
+/// Panics for an out-of-range point index, which [`board_symptoms`]
+/// rejects before any board can hit.
 #[must_use]
 pub fn rule_hit_report(diagnoser: &Diagnoser, board: &Board, hit: &RuleProvenance) -> Report {
-    let points = diagnoser.test_points();
-    let mut measured: Vec<Option<FuzzyInterval>> = vec![None; points.len()];
-    for &(idx, value) in board {
-        measured[idx] = Some(value);
-    }
-    let mut vms = Vec::with_capacity(board.len());
-    let mut vns = Vec::with_capacity(board.len());
-    for (idx, m) in measured.iter().enumerate() {
-        if let Some(m) = m {
-            vms.push(*m);
-            vns.push(*diagnoser.prediction(idx));
-        }
-    }
-    let mut dcs = Vec::new();
-    Consistency::between_batch(&vms, &vns, &mut dcs);
-    let mut graded = dcs.iter().copied();
-    let point_reports = points
-        .iter()
-        .enumerate()
-        .map(|(idx, tp)| crate::engine::PointReport {
-            name: tp.name.clone(),
-            predicted: *diagnoser.prediction(idx),
-            measured: measured[idx],
-            consistency: measured[idx]
-                .map(|_| graded.next().expect("one grade per measured point")),
-        })
-        .collect();
+    let points = board_points(diagnoser, board).expect("a hit board passed board_symptoms");
     let candidate = Candidate {
         members: vec![hit.culprit.clone()],
         env: Env::empty(),
         degree: hit.score,
     };
     Report {
-        points: point_reports,
+        points,
         nogoods: Vec::new(),
         candidates: vec![candidate.clone()],
         refined: vec![candidate],

@@ -36,7 +36,7 @@
 //!   output does not depend on the shard count — the workspace gates
 //!   assert byte-identical reports for 1/2/4/8 shards.
 
-use crate::engine::{Candidate, PointReport};
+use crate::engine::{point_reports, Candidate, PointReport};
 use crate::propagation::{CompiledSchedule, PropState, Propagator, PropagatorConfig};
 use crate::Result;
 use flames_atms::{Env, FuzzyAtms, RankedDiagnosis, ShardMap};
@@ -44,7 +44,7 @@ use flames_circuit::compile::RegionPartition;
 use flames_circuit::constraint::{Network, QuantityId};
 use flames_circuit::predict::TestPoint;
 use flames_circuit::Netlist;
-use flames_fuzzy::{Consistency, FuzzyInterval};
+use flames_fuzzy::FuzzyInterval;
 
 /// Hard cap on exchange rounds — a backstop against a non-converging
 /// exchange loop (dominance rejection of re-delivered entries makes the
@@ -476,32 +476,7 @@ impl ShardedSession<'_> {
     #[must_use]
     pub fn report(&self) -> ShardReport {
         let model = self.model;
-        // Grade every measured point in one batch through the 4-wide Dc
-        // kernel (tail pairs take the identical splatted lane math), the
-        // same grading as the flat engine's report.
-        let mut vms = Vec::with_capacity(self.measured.len());
-        let mut vns = Vec::with_capacity(self.measured.len());
-        for (idx, m) in self.measured.iter().enumerate() {
-            if let Some(m) = m {
-                vms.push(*m);
-                vns.push(model.predictions[idx]);
-            }
-        }
-        let mut dcs = Vec::new();
-        Consistency::between_batch(&vms, &vns, &mut dcs);
-        let mut graded = dcs.iter().copied();
-        let points = model
-            .test_points
-            .iter()
-            .enumerate()
-            .map(|(idx, tp)| PointReport {
-                name: tp.name.clone(),
-                predicted: model.predictions[idx],
-                measured: self.measured[idx],
-                consistency: self.measured[idx]
-                    .map(|_| graded.next().expect("one grade per measured point")),
-            })
-            .collect();
+        let points = point_reports(&model.test_points, &model.predictions, &self.measured);
         let merged = self.merged_nogoods();
         let pool = model.global.pool();
         let nogoods = merged

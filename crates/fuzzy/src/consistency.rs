@@ -72,10 +72,6 @@ pub struct Consistency {
 /// exact PWL intersection.
 const FULL_CONSISTENCY_EPS: f64 = 1e-9;
 
-/// Pairs [`Consistency::between_batch`] transposes into its stack column
-/// block at a time (a multiple of the lane width).
-const BATCH_BLOCK: usize = 32;
-
 impl Consistency {
     /// Snaps near-1 degrees to exactly 1 and derives the deviation
     /// direction from the defuzzified centers — shared by every
@@ -105,6 +101,9 @@ impl Consistency {
     /// both operands as heap [`Pwl`] curves. Genuinely piecewise-linear
     /// (non-trapezoidal) values go through [`Consistency::between_pwl`];
     /// the two agree to within 1e-12 on trapezoids (property-tested).
+    /// It is the one trapezoid `Dc` of the library: report points,
+    /// rule-store symptoms and exoneration all grade through it, so a
+    /// point's degree is the same number wherever it is read.
     ///
     /// A crisp point measurement (zero area) falls back to the membership
     /// of the point in `vn`, the natural limit of the area quotient —
@@ -121,111 +120,6 @@ impl Consistency {
             (vm.intersection_area(vn) / area_m).clamp(0.0, 1.0)
         };
         Self::grade(degree, vm.centroid(), vn.centroid())
-    }
-
-    /// Grades one 4-lane kernel result: the wide, branch-free mirror of
-    /// [`Consistency::grade`]. Center comparisons come from
-    /// [`crate::simd::center_lt4`] (division-free cross-multiplied
-    /// centroid ordering); the snap-to-1 blend and the direction pick
-    /// are mask selects and a table index, so grading costs the same
-    /// on every input mix — no data-dependent branches to mispredict
-    /// on conflict-heavy corpora. Full groups and the splatted tail
-    /// pairs both route through this function, which is what makes
-    /// their outputs bit-identical structurally. Kept out of line: inlined
-    /// next to the kernel it measured slower in the batch loop.
-    #[inline(never)]
-    fn graded4(
-        tm: &crate::simd::Traps4,
-        tn: &crate::simd::Traps4,
-        d: crate::simd::W4,
-    ) -> [Self; 4] {
-        const DIRS: [Direction; 3] = [Direction::Low, Direction::Within, Direction::High];
-        let within = d.ge(crate::simd::W4::splat(1.0 - FULL_CONSISTENCY_EPS));
-        let low = crate::simd::center_lt4(tm, tn);
-        let degree = crate::simd::W4::select(within, crate::simd::W4::splat(1.0), d);
-        std::array::from_fn(|l| {
-            let w = usize::from(within.lane(l));
-            let high = usize::from(!within.lane(l) & !low.lane(l));
-            Self {
-                degree: degree.lane(l),
-                direction: DIRS[w + 2 * high],
-            }
-        })
-    }
-
-    /// One pair through the 4-wide kernel (splatted): the tail unit of
-    /// [`Consistency::between_batch`]. Because every [`W4`] op is four
-    /// independent scalar lane expressions, the lane-0 result is
-    /// bit-identical to the same pair evaluated inside a full 4-wide
-    /// group — so a pair grades the same whichever batch it lands in.
-    ///
-    /// [`W4`]: crate::simd::W4
-    #[inline]
-    fn between_one_wide(vm: &FuzzyInterval, vn: &FuzzyInterval) -> Self {
-        let tm = crate::simd::Traps4::splat(vm);
-        let tn = crate::simd::Traps4::splat(vn);
-        let d = crate::simd::dc4(&tm, &tn);
-        Self::graded4(&tm, &tn, d)[0]
-    }
-
-    /// Batch degree of consistency: `out[i] = Dc(vms[i], vns[i])`,
-    /// evaluated four pairs per step through the branch-free
-    /// [`crate::simd::dc4`] kernel, with the `len % 4` tail evaluated
-    /// pair-at-a-time through the identical (splatted) lane math. A
-    /// pair's result is bit-identical whichever route it takes, and
-    /// agrees with the scalar oracle [`Consistency::between`] to
-    /// ≤ 1e-12 in degree with equal direction (differential-tested over
-    /// the 10k corner-mix corpus).
-    ///
-    /// Counters: `fuzzy.dc_simd_batch` per full 4-pair group,
-    /// `fuzzy.dc_scalar_tail` per tail pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slices differ in length.
-    pub fn between_batch(vms: &[FuzzyInterval], vns: &[FuzzyInterval], out: &mut Vec<Self>) {
-        assert_eq!(vms.len(), vns.len(), "pairwise batch: equal lengths");
-        let n = vms.len();
-        out.clear();
-        out.reserve(n);
-        let grouped = n - n % 4;
-        // Transpose a block of rows into stack columns, then stream the
-        // columns through the kernel with contiguous 4-lane loads.
-        // Assembling lanes straight from four rows makes the kernel's
-        // vector loads wait on the scalar stores that built them (store
-        // forwarding fails across sizes), which cost about as much as
-        // the kernel itself.
-        let mut cols = [[0.0f64; BATCH_BLOCK]; 8];
-        for (bm, bn) in vms[..grouped]
-            .chunks(BATCH_BLOCK)
-            .zip(vns[..grouped].chunks(BATCH_BLOCK))
-        {
-            for (k, (vm, vn)) in bm.iter().zip(bn).enumerate() {
-                cols[0][k] = vm.core_lo();
-                cols[1][k] = vm.core_hi();
-                cols[2][k] = vm.spread_left();
-                cols[3][k] = vm.spread_right();
-                cols[4][k] = vn.core_lo();
-                cols[5][k] = vn.core_hi();
-                cols[6][k] = vn.spread_left();
-                cols[7][k] = vn.spread_right();
-            }
-            let [m1, m2, ma, mb, n1, n2, na, nb] = &cols;
-            for g in (0..bm.len()).step_by(4) {
-                let tm = crate::simd::Traps4::load(m1, m2, ma, mb, g);
-                let tn = crate::simd::Traps4::load(n1, n2, na, nb, g);
-                let d = crate::simd::dc4(&tm, &tn);
-                out.extend_from_slice(&Self::graded4(&tm, &tn, d));
-            }
-        }
-        for (vm, vn) in vms[grouped..].iter().zip(&vns[grouped..]) {
-            out.push(Self::between_one_wide(vm, vn));
-        }
-        let groups = (grouped / 4) as u64;
-        let tail = (n - grouped) as u64;
-        let m = flames_obs::metrics();
-        m.dc_simd_batch.add(groups);
-        m.dc_scalar_tail.add(tail);
     }
 
     /// The PWL fallback of [`Consistency::between`], for membership

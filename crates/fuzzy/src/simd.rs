@@ -12,28 +12,12 @@
 //! reproduce the grouped results exactly — both run the same per-lane
 //! expression DAG.
 //!
-//! The centerpiece is [`dc4`], a branch-free batch evaluation of the
-//! paper's degree of consistency `Dc = area(Vm ⊓ Vn) / area(Vm)` over
-//! four trapezoid pairs at once. Where the scalar closed form
-//! ([`FuzzyInterval::intersection_area`]) integrates *vertically* —
-//! membership breakpoints on the x-axis, whose count is data-dependent
-//! — the batch kernel integrates the same region *horizontally* over
-//! α-cuts: at height `y` the cut of a trapezoid is the interval
-//! `[sl + y·α, sh − y·β]`, so by Fubini
-//!
-//! ```text
-//! area(Vm ⊓ Vn) = ∫₀¹ max(0, g(y)) dy,
-//! g(y) = min(ash − y·βm, bsh − y·βn) − max(asl + y·αm, bsl + y·αn)
-//! ```
-//!
-//! `g` is decreasing, concave and piecewise affine with at most two
-//! interior breakpoints (where the `min` pair and the `max` pair switch
-//! sides) — a *fixed* three-cell layout with no sorting and no
-//! membership evaluations, ideal for lane-wise evaluation. Control flow
-//! (dead ramps, disjoint supports, crisp measurements) becomes select
-//! masks. The kernel is held to ≤ 1e-12 agreement and direction
-//! equality against the scalar oracle [`crate::Consistency::between`]
-//! by the differential suites.
+//! The kernels are the ones the propagation engine runs per label
+//! entry: coincidence classification ([`included4`], [`possibility4`],
+//! [`width4`], [`ne4`]) and the constraint-apply arithmetic ([`add4`],
+//! [`scale4`]). Each is held **bit for bit** to the [`FuzzyInterval`]
+//! method it mirrors by the differential suite
+//! (`crates/fuzzy/tests/simd_diff.rs`).
 
 use crate::trapezoid::FuzzyInterval;
 
@@ -116,21 +100,6 @@ impl W4 {
         Self([a[0] / b[0], a[1] / b[1], a[2] / b[2], a[3] / b[3]])
     }
 
-    /// Lane-wise minimum (both operands are ordinary numbers on every
-    /// kernel path — no lane is ever NaN when a `min`/`max` sees it).
-    #[must_use]
-    #[inline(always)]
-    pub fn min(self, o: Self) -> Self {
-        Self::select(self.lt(o), self, o)
-    }
-
-    /// Lane-wise maximum.
-    #[must_use]
-    #[inline(always)]
-    pub fn max(self, o: Self) -> Self {
-        Self::select(self.gt(o), self, o)
-    }
-
     /// Lane-wise `self < o`.
     #[must_use]
     #[inline(always)]
@@ -200,15 +169,6 @@ impl W4 {
         let zero = Self::splat(0.0);
         let one = Self::splat(1.0);
         Self::select(self.lt(zero), zero, Self::select(self.gt(one), one, self))
-    }
-
-    /// Lane-wise absolute value.
-    #[must_use]
-    #[inline(always)]
-    pub fn abs(self) -> Self {
-        let a = |x: f64| f64::from_bits(x.to_bits() & (u64::MAX >> 1));
-        let v = self.0;
-        Self([a(v[0]), a(v[1]), a(v[2]), a(v[3])])
     }
 }
 
@@ -314,169 +274,6 @@ impl Traps4 {
     }
 }
 
-/// Lane-wise defuzzified-center ordering: `centroid(vm) < centroid(vn)`
-/// per lane, the comparison direction grading needs — computed without
-/// a single division by cross-multiplying the centroid fractions.
-///
-/// The trapezoid centroid is `s / a` with moment sum
-/// `s = ½α(m1 − α/3) + ½(m2 − m1)(m1 + m2) + ½β(m2 + β/3)` and area
-/// `a`; scaling by 6 clears the fractions:
-/// `6s = 3α·m1 − α² + 3(m2² − m1²) + 3β·m2 + β²`. Since areas are
-/// positive, `s_m/a_m < s_n/a_n  ⇔  6s_m·6a_n < 6s_n·6a_m` — two
-/// multiplications instead of the six lane divisions two full centroid
-/// evaluations would cost. Zero-area lanes substitute the scalar
-/// fallback center `(m1 + m2)/2` as the fraction `(m1 + m2) / 2`; the
-/// area-zero test compares the same `(m2 − m1) + ½(α + β)` expression
-/// the scalar path evaluates, so the fallback triggers on exactly the
-/// same lanes.
-///
-/// This is the *exact* real-arithmetic ordering of the two centers; it
-/// can disagree with comparing the two *rounded* scalar quotients only
-/// when the true centers are within a few ulp of each other —
-/// direction equality with the scalar oracle is differential-tested
-/// over the 10k corner-mix corpus, and grouped lanes and splatted tail
-/// lanes share this code, so their results stay bit-identical
-/// structurally.
-#[must_use]
-#[inline(always)]
-pub fn center_lt4(vm: &Traps4, vn: &Traps4) -> M4 {
-    let half = W4::splat(0.5);
-    let three = W4::splat(3.0);
-    let fraction = |t: &Traps4| {
-        let a = t.m2.sub(t.m1).add(half.mul(t.alpha.add(t.beta)));
-        // 6s = 3·(α·m1 + (m2² − m1²) + β·m2) − α² + β²
-        let moments = t
-            .alpha
-            .mul(t.m1)
-            .add(t.m2.mul(t.m2).sub(t.m1.mul(t.m1)))
-            .add(t.beta.mul(t.m2));
-        let six_s = three
-            .mul(moments)
-            .sub(t.alpha.mul(t.alpha))
-            .add(t.beta.mul(t.beta));
-        let crisp = a.eq_mask(W4::splat(0.0));
-        let num = W4::select(crisp, t.m1.add(t.m2), six_s);
-        let den = W4::select(crisp, W4::splat(2.0), W4::splat(6.0).mul(a));
-        (num, den)
-    };
-    let (num_m, den_m) = fraction(vm);
-    let (num_n, den_n) = fraction(vn);
-    num_m.mul(den_n).lt(num_n.mul(den_m))
-}
-
-/// Branch-free batch degree of consistency: `Dc(vm_i, vn_i)` for four
-/// trapezoid pairs at once, agreeing with the scalar closed form
-/// [`crate::Consistency::between`] to ≤ 1e-12 (property-tested) by
-/// integrating the same region horizontally over α-cuts (see the
-/// module docs):
-///
-/// 1. the cut length `g(y) = right(y) − left(y)` is assembled from the
-///    support corners and spreads — multiplications only, so crisp
-///    edges (zero spreads) are just vertical cut bounds, with no
-///    special cases;
-/// 2. the two candidate breakpoints — where the `min` pair of the
-///    right bounds and the `max` pair of the left bounds switch — are
-///    one division each, clamped into `[0, 1]` (a parallel pair, zero
-///    denominator, has no switch and collapses to a zero-width cell);
-/// 3. `∫ max(0, g)` is summed over the three cells: a cell with one
-///    sign change contributes the exact crossing triangle
-///    `w·(p² + q²) / (2·|gu − gv|)` (`p`, `q` the clamped-positive
-///    endpoint values), a same-sign cell the plain trapezoid rule
-///    `w·max(gu + gv, 0)/2` — both exact, `g` being affine per cell;
-/// 4. the degree is `area / area(vm)` clamped to `[0, 1]`, or — for a
-///    crisp (zero-area) measurement — the membership of `vm`'s core
-///    midpoint in `vn`, the same limit the scalar path takes.
-///
-/// Directions are graded by the caller ([`center_lt4`], evaluated only
-/// when some lane is not fully consistent), so the kernel returns only
-/// the graded-degree inputs.
-#[must_use]
-#[inline]
-pub fn dc4(vm: &Traps4, vn: &Traps4) -> W4 {
-    let one = W4::splat(1.0);
-    let zero = W4::splat(0.0);
-    let half = W4::splat(0.5);
-
-    // Support corners: the cut of vm at height y is
-    // [asl + y·αm, ash − y·βm], and likewise for vn.
-    let asl = vm.m1.sub(vm.alpha);
-    let ash = vm.m2.add(vm.beta);
-    let bsl = vn.m1.sub(vn.alpha);
-    let bsh = vn.m2.add(vn.beta);
-
-    // Candidate breakpoints of g: the right bounds cross at
-    // y = (ash − bsh)/(βm − βn), the left bounds at
-    // y = (bsl − asl)/(αm − αn). Equal spreads mean parallel bounds —
-    // no switch — so the (∞ or NaN) quotient is replaced by 0, which
-    // only pads the layout with a zero-width cell. Out-of-range
-    // crossings clamp onto the integration bounds the same way.
-    let switch_at = |num: W4, den: W4| W4::select(den.eq_mask(zero), zero, num.div(den).clamp01());
-    let y_right = switch_at(ash.sub(bsh), vm.beta.sub(vn.beta));
-    let y_left = switch_at(bsl.sub(asl), vm.alpha.sub(vn.alpha));
-    let ya = y_right.min(y_left);
-    let yb = y_right.max(y_left);
-
-    // g at the four cell boundaries 0 ≤ ya ≤ yb ≤ 1. g(0) and g(1)
-    // shortcut to the support/core overlaps.
-    let g_at = |y: W4| {
-        let right = ash.sub(y.mul(vm.beta)).min(bsh.sub(y.mul(vn.beta)));
-        let left = asl.add(y.mul(vm.alpha)).max(bsl.add(y.mul(vn.alpha)));
-        right.sub(left)
-    };
-    let g0 = ash.min(bsh).sub(asl.max(bsl));
-    let ga = g_at(ya);
-    let gb = g_at(yb);
-    let g1 = vm.m2.min(vn.m2).sub(vm.m1.max(vn.m1));
-
-    // ∫ max(0, g) per cell, as a fraction `num/den` so the three cell
-    // divisions fold into one. g is affine on each cell, so a
-    // same-sign cell is the exact trapezoid rule over 1 (zero if
-    // g ≤ 0 throughout — which also covers disjoint supports, g being
-    // decreasing) and a sign-changing cell the exact crossing triangle
-    // `w·(p² + q²)` over `2·|gu − gv|` (positive: the endpoints differ
-    // in sign). `area = Σ numᵢ/denᵢ` becomes `N/D` by clearing to the
-    // common denominator `D = d₁·d₂·d₃ > 0`; the handful of extra
-    // multiplications rounds the result within a few ulp, far inside
-    // the 1e-12 differential contract, and costs a fraction of the
-    // two divisions it replaces.
-    let cell = |gu: W4, gv: W4, w: W4| {
-        let trap = half.mul(gu.add(gv).max(zero));
-        let p = gu.max(zero);
-        let q = gv.max(zero);
-        let cross = gu.mul(gv).lt(zero);
-        let num = w.mul(W4::select(cross, p.mul(p).add(q.mul(q)), trap));
-        let den = W4::select(cross, gu.sub(gv).abs().mul(W4::splat(2.0)), one);
-        (num, den)
-    };
-    let (n1, d1) = cell(g0, ga, ya);
-    let (n2, d2) = cell(ga, gb, yb.sub(ya));
-    let (n3, d3) = cell(gb, g1, one.sub(yb));
-    let d12 = d1.mul(d2);
-    let area_num = n1.mul(d2.mul(d3)).add(n2.mul(d1.mul(d3))).add(n3.mul(d12));
-    let area_den = d12.mul(d3);
-
-    // Degree: area quotient `N / (D·area(vm))`, or — for a crisp
-    // (zero-area) measurement — the membership of the core midpoint in
-    // vn. At most one ramp of vn is on the midpoint's side, so the
-    // membership is a single fraction too: the active ramp's rise over
-    // its spread, 1/1 when the point sits inside the core. Both
-    // candidates are selected *as fractions* before the one shared
-    // division (a zero-spread flank divides a strictly negative rise
-    // by +0 — a clean −∞ that clamps to 0, never NaN).
-    let area_m = vm.m2.sub(vm.m1).add(half.mul(vm.alpha.add(vm.beta)));
-    let point = half.mul(vm.m1.add(vm.m2));
-    let below = point.lt(vn.m1);
-    let inside = below.not().and(point.le(vn.m2));
-    let ramp_num = W4::select(below, point.sub(bsl), bsh.sub(point));
-    let ramp_den = W4::select(below, vn.alpha, vn.beta);
-    let mem_num = W4::select(inside, one, ramp_num);
-    let mem_den = W4::select(inside, one, ramp_den);
-    let crisp = area_m.eq_mask(zero);
-    let num = W4::select(crisp, mem_num, area_num);
-    let den = W4::select(crisp, mem_den, area_den.mul(area_m));
-    num.div(den).clamp01()
-}
-
 /// Lane-wise [`FuzzyInterval::is_included_in`]: support and core of `a`
 /// inside those of `b`, each bound compared with the scalar method's
 /// exact `m1 − α` / `m2 + β` expressions.
@@ -579,81 +376,4 @@ pub fn ne4(a: &Traps4, b: &Traps4) -> M4 {
         .and(a.alpha.eq_mask(b.alpha))
         .and(a.beta.eq_mask(b.beta))
         .not()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The α-cut integral against the scalar vertical integration on a
-    /// grid of hand-picked shapes (the differential suites cover the
-    /// random corpora).
-    #[test]
-    fn dc4_area_matches_scalar_intersection_area() {
-        let fi = |m1: f64, m2: f64, a: f64, b: f64| FuzzyInterval::new(m1, m2, a, b).unwrap();
-        let shapes = [
-            fi(1.0, 2.0, 0.5, 0.5),
-            fi(1.5, 2.5, 0.25, 1.0),
-            fi(0.0, 0.0, 0.0, 2.0),
-            fi(-1.0, 1.0, 0.0, 0.0),
-            fi(5.0, 6.0, 2.0, 0.0),
-            fi(0.0, 4.0, 1.0, 3.0),
-        ];
-        for vm in &shapes {
-            for vn in &shapes {
-                let wide = dc4(&Traps4::splat(vm), &Traps4::splat(vn)).lane(0);
-                let scalar = (vm.intersection_area(vn) / vm.area()).clamp(0.0, 1.0);
-                assert!(
-                    (wide - scalar).abs() <= 1e-12,
-                    "{vm:?} vs {vn:?}: {wide} != {scalar}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dc4_lanes_are_independent_of_their_neighbors() {
-        let pairs = [
-            (
-                FuzzyInterval::new(1.0, 2.0, 0.5, 0.5).unwrap(),
-                FuzzyInterval::new(1.5, 2.5, 0.25, 1.0).unwrap(),
-            ),
-            (
-                FuzzyInterval::crisp(3.0),
-                FuzzyInterval::new(2.0, 4.0, 1.0, 1.0).unwrap(),
-            ),
-            (
-                FuzzyInterval::new(0.0, 0.0, 0.0, 2.0).unwrap(),
-                FuzzyInterval::new(5.0, 6.0, 1.0, 0.0).unwrap(),
-            ),
-            (
-                FuzzyInterval::new(-1.0, 1.0, 0.0, 0.0).unwrap(),
-                FuzzyInterval::new(0.0, 0.5, 0.1, 0.1).unwrap(),
-            ),
-        ];
-        let col = |f: fn(&FuzzyInterval) -> f64, side: usize| -> Vec<f64> {
-            pairs
-                .iter()
-                .map(|p| f(if side == 0 { &p.0 } else { &p.1 }))
-                .collect()
-        };
-        let load = |side| {
-            Traps4::load(
-                &col(FuzzyInterval::core_lo, side),
-                &col(FuzzyInterval::core_hi, side),
-                &col(FuzzyInterval::spread_left, side),
-                &col(FuzzyInterval::spread_right, side),
-                0,
-            )
-        };
-        let wide = dc4(&load(0), &load(1));
-        for (i, (vm, vn)) in pairs.iter().enumerate() {
-            let solo = dc4(&Traps4::splat(vm), &Traps4::splat(vn));
-            assert_eq!(
-                wide.lane(i).to_bits(),
-                solo.lane(0).to_bits(),
-                "lane {i} differs between batched and splatted evaluation"
-            );
-        }
-    }
 }

@@ -431,40 +431,6 @@ fn closed_form_dc_matches_pwl_on_10k_pairs() {
     }
 }
 
-/// Same corpus, SIMD contract: the 4-wide batch kernel must agree with
-/// the scalar closed form to 1e-12 in degree and exactly in direction.
-/// (A fast slice of this corpus also runs tier-1 in `simd_diff.rs`.)
-#[test]
-fn batch_dc_matches_scalar_on_10k_pairs() {
-    let mut r = Rng(0xDC_2026);
-    let mut vms = Vec::with_capacity(10_000);
-    let mut vns = Vec::with_capacity(10_000);
-    for _ in 0..10_000 {
-        let base = trapezoid(&mut r);
-        let vm = corner_trapezoid(&mut r, base);
-        vns.push(corner_trapezoid(&mut r, vm));
-        vms.push(vm);
-    }
-    let mut out = Vec::new();
-    Consistency::between_batch(&vms, &vns, &mut out);
-    assert_eq!(out.len(), vms.len());
-    for (case, batch) in out.iter().enumerate() {
-        let (vm, vn) = (&vms[case], &vns[case]);
-        let scalar = Consistency::between(vm, vn);
-        assert!(
-            (batch.degree() - scalar.degree()).abs() <= 1e-12,
-            "case {case}: batch {} != scalar {} for {vm:?} vs {vn:?}",
-            batch.degree(),
-            scalar.degree()
-        );
-        assert_eq!(
-            batch.direction(),
-            scalar.direction(),
-            "case {case}: direction diverges for {vm:?} vs {vn:?}"
-        );
-    }
-}
-
 #[test]
 fn entropy_image_is_bounded() {
     let mut r = Rng(23);

@@ -1,23 +1,17 @@
 //! Differential suite for the 4-wide kernels against their scalar
-//! references, which live on as the test oracles:
-//!
-//! * the batch `Dc` kernel against the scalar closed form
-//!   ([`Consistency::between`]), held to ≤ 1e-12 degree agreement and
-//!   direction equality, plus the tail and degenerate-input cases the
-//!   lane layout makes interesting (batch sizes not divisible by 4,
-//!   crisp points, zero-spread flanks, disjoint and touching supports);
-//! * the coincidence and constraint-apply kernels the propagation
-//!   engine runs (`included4`, `possibility4`, `width4`, `ne4`,
-//!   `center_lt4`, `add4`, `scale4`) against the [`FuzzyInterval`]
-//!   methods they mirror, **bit for bit**, on the same corner corpus —
-//!   grouped lanes and the 1–3-entry tails alike.
+//! references, which live on as the test oracles: the coincidence and
+//! constraint-apply kernels the propagation engine runs (`included4`,
+//! `possibility4`, `width4`, `ne4`, `add4`, `scale4`) against the
+//! [`FuzzyInterval`] methods they mirror, **bit for bit**, on a
+//! corner-mix corpus (random shapes, zero-spread flanks, crisp
+//! intervals and points, shifted near-copies) — grouped lanes and the
+//! 1–3-entry tails alike.
 //!
 //! Always on (tier-1): the corpus here is a few thousand pairs, small
-//! enough for every `cargo test` run. The full 10k corner-mix corpus
-//! runs in `tests/props.rs` behind `--features proptest`.
+//! enough for every `cargo test` run.
 
-use flames_fuzzy::simd::{add4, center_lt4, included4, ne4, possibility4, scale4, width4, Traps4};
-use flames_fuzzy::{Consistency, FuzzyInterval};
+use flames_fuzzy::simd::{add4, included4, ne4, possibility4, scale4, width4, Traps4};
+use flames_fuzzy::FuzzyInterval;
 
 /// SplitMix64, same mixer as the bench crate (tests cannot depend on it).
 struct Rng(u64);
@@ -95,92 +89,6 @@ fn corner_corpus(seed: u64, n: usize) -> (Vec<FuzzyInterval>, Vec<FuzzyInterval>
         vns.push(vn);
     }
     (vms, vns)
-}
-
-fn assert_matches_oracle(vms: &[FuzzyInterval], vns: &[FuzzyInterval], got: &[Consistency]) {
-    assert_eq!(got.len(), vms.len());
-    for (i, dc) in got.iter().enumerate() {
-        let oracle = Consistency::between(&vms[i], &vns[i]);
-        assert!(
-            (dc.degree() - oracle.degree()).abs() <= 1e-12,
-            "pair {i}: batch {} vs scalar {} for {:?} vs {:?}",
-            dc.degree(),
-            oracle.degree(),
-            vms[i],
-            vns[i]
-        );
-        assert_eq!(
-            dc.direction(),
-            oracle.direction(),
-            "pair {i}: direction diverges for {:?} vs {:?}",
-            vms[i],
-            vns[i]
-        );
-        assert!(dc.degree().is_finite() && (0.0..=1.0).contains(&dc.degree()));
-    }
-}
-
-#[test]
-fn batch_matches_scalar_on_corner_corpus() {
-    let (vms, vns) = corner_corpus(0xD1FF_2026, 2_048);
-    let mut out = Vec::new();
-    Consistency::between_batch(&vms, &vns, &mut out);
-    assert_matches_oracle(&vms, &vns, &out);
-}
-
-/// Batch sizes that are not multiples of the lane width exercise the
-/// splatted tail; whatever route a pair takes — full 4-wide group,
-/// splatted tail lane — its result must be bit-identical.
-#[test]
-fn tail_sizes_are_bit_identical_to_singles() {
-    let (vms, vns) = corner_corpus(0x7A11_2026, 23);
-    let mut single = Vec::new();
-    let mut batched = Vec::new();
-    for n in [0usize, 1, 2, 3, 4, 5, 6, 7, 9, 15, 23] {
-        Consistency::between_batch(&vms[..n], &vns[..n], &mut batched);
-        assert_eq!(batched.len(), n);
-        for i in 0..n {
-            Consistency::between_batch(&vms[i..=i], &vns[i..=i], &mut single);
-            let (b, s) = (batched[i], single[0]);
-            assert!(
-                b.degree().to_bits() == s.degree().to_bits() && b.direction() == s.direction(),
-                "n = {n}, pair {i}: grouped {b:?} != single {s:?}"
-            );
-        }
-        assert_matches_oracle(&vms[..n], &vns[..n], &batched);
-    }
-}
-
-/// NaN-free degenerate inputs: crisp points, zero-spread flanks,
-/// identical values, disjoint and exactly point-touching supports —
-/// every lane the branch-free select machinery has to neutralize.
-#[test]
-fn degenerate_inputs_stay_nan_free_and_match_scalar() {
-    let fi = |m1: f64, m2: f64, a: f64, b: f64| FuzzyInterval::new(m1, m2, a, b).unwrap();
-    let shapes = [
-        FuzzyInterval::crisp(0.0),
-        FuzzyInterval::crisp(3.0),
-        fi(0.0, 0.0, 0.0, 2.0),
-        fi(0.0, 0.0, 2.0, 0.0),
-        fi(-1.0, 1.0, 0.0, 0.0),
-        fi(2.0, 3.0, 0.5, 0.5),
-        fi(2.0, 3.0, 0.5, 0.5), // identical twin of the previous
-        fi(5.0, 6.0, 2.0, 0.0), // support touches 3.5 exactly
-        fi(3.5, 4.0, 0.0, 0.0),
-        fi(-10.0, -9.0, 0.25, 0.25), // far disjoint
-        fi(0.0, 10.0, 5.0, 5.0),     // very wide
-    ];
-    let mut vms = Vec::new();
-    let mut vns = Vec::new();
-    for vm in &shapes {
-        for vn in &shapes {
-            vms.push(*vm);
-            vns.push(*vn);
-        }
-    }
-    let mut out = Vec::new();
-    Consistency::between_batch(&vms, &vns, &mut out);
-    assert_matches_oracle(&vms, &vns, &out);
 }
 
 // ----- engine kernels vs their scalar FuzzyInterval oracles ----------
@@ -327,21 +235,6 @@ fn ne4_matches_partial_eq() {
             );
         }
         assert!(equal > 0, "the corpus must exercise equal pairs");
-    }
-}
-
-#[test]
-fn center_lt4_matches_centroid_order() {
-    for (vms, vns) in kernel_corpora() {
-        for l in lanes(&vms, &vns) {
-            let (vm, vn) = (&vms[l.pair], &vns[l.pair]);
-            assert_eq!(
-                center_lt4(&l.a, &l.b).lane(l.lane),
-                vm.centroid() < vn.centroid(),
-                "pair {}: {vm:?} vs {vn:?}",
-                l.pair
-            );
-        }
     }
 }
 

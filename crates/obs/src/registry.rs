@@ -60,8 +60,11 @@ define_metrics! {
     // Fuzzy numeric kernel --------------------------------------------
     dc_fast_path => "fuzzy.dc_fast_path",
     dc_pwl_fallback => "fuzzy.dc_pwl_fallback",
+    // Retired with the 4-wide batch Dc kernel, so it always reads 0. It
+    // stays registered because svcbench's traced run reads it by name
+    // (`MetricsSnapshot::get` panics on an unknown name); it goes with
+    // svcbench's `fuzzy.dc_batch_per_board` column.
     dc_simd_batch => "fuzzy.dc_simd_batch",
-    dc_scalar_tail => "fuzzy.dc_scalar_tail",
     entropy_memo_hit => "fuzzy.entropy_memo_hit",
     entropy_memo_miss => "fuzzy.entropy_memo_miss",
     // Propagation engine ----------------------------------------------

@@ -13,18 +13,22 @@ cargo build --release --locked --offline --manifest-path svcbench/Cargo.toml
 
 # svcbench exits 0 even when an output is wrong; its last line carries
 # the verdict. This is the only check of served bytes against the
-# in-process reference on build_large and serve_recurring.
-echo "==> svcbench correctness smoke (each workload, 1 s: last line must report \"correct\":true)"
-for workload in serve_novel serve_recurring build_large; do
-    last=$(cargo run --release --locked --offline --quiet --manifest-path svcbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
-    case "$last" in
-        *'"correct":true'*) echo "    $workload: correct" ;;
-        *)
-            echo "!! svcbench $workload: outputs differ from the in-process reference: $last"
-            exit 1
-            ;;
-    esac
+# in-process reference on build_large and serve_recurring. The traced
+# run (--trace 1) also reads the per-layer counters by name, so a
+# counter the library drops fails here rather than in a benchmark run.
+echo "==> svcbench correctness smoke (each workload, 1 s untraced and 1 s traced: last line must report \"correct\":true)"
+for trace in 0 1; do
+    for workload in serve_novel serve_recurring build_large; do
+        last=$(cargo run --release --locked --offline --quiet --manifest-path svcbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
+        case "$last" in
+            *'"correct":true'*) echo "    $workload (trace $trace): correct" ;;
+            *)
+                echo "!! svcbench $workload (trace $trace): outputs differ from the in-process reference: $last"
+                exit 1
+                ;;
+        esac
+    done
 done
 
 echo "==> cargo test (tier-1, incl. differential fuzzy-vs-crisp suite)"
@@ -75,7 +79,7 @@ run_gate exp_perf BENCH_atms.json
 echo "==> exp_batch (serving gate: byte-identical reports, warm pool >= 1.5x cold)"
 run_gate exp_batch BENCH_batch.json
 
-echo "==> exp_dc (conflict gate: closed-form Dc exact, batch Dc >= 2x, lanes byte-identical and >= 0.9x)"
+echo "==> exp_dc (conflict gate: closed-form Dc exact and >= 3x PWL, lanes byte-identical and >= 0.9x)"
 run_gate exp_dc BENCH_dc.json
 
 echo "==> exp_strategy (planning gate: incremental candidates and probe planning >= 3x, byte-identical across threads, full loop no-regression)"
