@@ -65,7 +65,9 @@ pub struct ValueEntry {
 /// certainty degree, measurement flag — in matching columns. The
 /// signature column is the pedigree index: an `O(1)` necessary condition
 /// for the subset tests of the dominance rules, checked before the full
-/// bitset comparison.
+/// bitset comparison. The label's widest support width is cached
+/// alongside, so a full label can tell in `O(1)` whether an incoming
+/// value could still enter it.
 ///
 /// [`Propagator::entries`] materializes [`ValueEntry`] rows on demand;
 /// internally everything works on the columns.
@@ -80,6 +82,11 @@ pub(crate) struct EntryColumns {
     sig: Vec<u64>,
     degree: Vec<f64>,
     measured: Vec<bool>,
+    /// Support width of the widest entry under [`f64::total_cmp`] —
+    /// what `(0..len).max_by(total_cmp)` over [`EntryColumns::width`]
+    /// picks, NaN included — and `0.0` for the empty label. Kept by
+    /// every mutator below.
+    widest: f64,
 }
 
 impl EntryColumns {
@@ -94,6 +101,7 @@ impl EntryColumns {
         sig: Vec::new(),
         degree: Vec::new(),
         measured: Vec::new(),
+        widest: 0.0,
     };
 
     fn len(&self) -> usize {
@@ -113,6 +121,7 @@ impl EntryColumns {
         self.sig.clear();
         self.degree.clear();
         self.measured.clear();
+        self.widest = 0.0;
     }
 
     fn value(&self, i: usize) -> FuzzyInterval {
@@ -168,12 +177,40 @@ impl EntryColumns {
 
     /// Index of the tightest (smallest-support) entry; ties resolve to
     /// the first, matching `Iterator::min_by` over materialized rows.
+    /// `total_cmp` orders a NaN width after every number, so such an
+    /// entry is never the tightest unless all widths are NaN.
     fn tightest(&self) -> Option<usize> {
-        (0..self.len()).min_by(|&a, &b| {
-            self.width(a)
-                .partial_cmp(&self.width(b))
-                .expect("finite widths")
-        })
+        (0..self.len()).min_by(|&a, &b| self.width(a).total_cmp(&self.width(b)))
+    }
+
+    /// Index of the widest entry under `total_cmp`; ties resolve to the
+    /// last, as `Iterator::max_by` does.
+    fn widest_index(&self) -> Option<usize> {
+        (0..self.len()).max_by(|&a, &b| self.width(a).total_cmp(&self.width(b)))
+    }
+
+    /// The widest width found by scanning the columns — what
+    /// [`EntryColumns::widest`] caches.
+    fn scan_widest(&self) -> f64 {
+        self.widest_index().map_or(0.0, |i| self.width(i))
+    }
+
+    /// Whether a value of support width `inc_width` arriving at this
+    /// label can only add coincidences — the conflict-only route of
+    /// [`PropState::insert`]. True when the label is full, its widest
+    /// width `w` is positive, `inc_width ≥ w` (so it replaces nothing:
+    /// replacement needs `inc_width < w`) and `inc_width > w·(1 −
+    /// min_tightening)` (so it drops nothing: a drop needs `inc_width ≤
+    /// widthᵢ·(1 − min_tightening) ≤ w·(1 − min_tightening)`). Whether
+    /// or not it is dominated, such an insert returns `false` and leaves
+    /// the label as it was. The `w > 0` guard is conservative: it keeps
+    /// a full label of crisp points on the full route.
+    fn admits_only_conflicts(&self, inc_width: f64, config: PropagatorConfig) -> bool {
+        let w = self.widest;
+        self.len() >= config.max_entries
+            && w > 0.0
+            && inc_width >= w
+            && inc_width > w * (1.0 - config.min_tightening)
     }
 
     fn push(&mut self, e: ValueEntry) {
@@ -185,6 +222,10 @@ impl EntryColumns {
         self.env.push(e.env);
         self.degree.push(e.degree);
         self.measured.push(e.measured);
+        let width = self.width(self.len() - 1);
+        if self.len() == 1 || width.total_cmp(&self.widest).is_gt() {
+            self.widest = width;
+        }
     }
 
     fn set(&mut self, i: usize, e: ValueEntry) {
@@ -196,6 +237,7 @@ impl EntryColumns {
         self.env[i] = e.env;
         self.degree[i] = e.degree;
         self.measured[i] = e.measured;
+        self.widest = self.scan_widest();
     }
 
     /// Drops every row whose `keep` flag is false, preserving order.
@@ -226,6 +268,239 @@ impl EntryColumns {
         self.degree.truncate(w);
         self.measured.truncate(w);
         self.env.truncate(w);
+        self.widest = self.scan_widest();
+    }
+
+    /// The Fig. 4 coincidence resolution of `incoming` against every
+    /// held entry, appending its conflicts (record plus nogood degree)
+    /// to `conflicts` and flushing the coincidence tallies. Coincidences
+    /// are classified by inclusion and the *possibility of agreement*
+    /// `π = sup min(μ₁, μ₂)`: inclusion is a split (refinement),
+    /// overlapping cores a corroboration, and anything else a conflict
+    /// graded by `1 − π` — the possibilistic-ATMS reading of the paper's
+    /// partial conflicts. (The asymmetric area-based Dc is reserved for
+    /// the measured-vs-nominal test-point comparison in the engine.)
+    ///
+    /// With `DOMINANCE` the same pass decides both dominance directions
+    /// and returns them as `(dominated, drops)`: whether a held entry
+    /// makes the incoming one redundant, and how many held entries the
+    /// incoming one meaningfully improves on (`keep[i] == false`, one
+    /// flag pushed per entry). Without it only the classification runs
+    /// — over the same entries in the same order, so records and
+    /// tallies are the same — and the result is `(false, 0)` with
+    /// `keep` untouched.
+    fn classify<const DOMINANCE: bool>(
+        &self,
+        q: QuantityId,
+        incoming: &ValueEntry,
+        inc_width: f64,
+        config: PropagatorConfig,
+        conflicts: &mut Vec<(CoincidenceRecord, f64)>,
+        keep: &mut Vec<bool>,
+    ) -> (bool, usize) {
+        let mut dominated = false;
+        let mut drops = 0usize;
+        // Coincidence tallies [corroborations, splits, partial, total]:
+        // accumulated locally, flushed as one atomic add per kind.
+        let mut tally = [0u64; 4];
+        // Grades the (rare) conflicting coincidence for entry `i`, with
+        // the degree-of-overlap `pi` and `conflict = 1 − pi` already in
+        // hand — `pi` comes out bit-identical whether the entry was
+        // classified in a 4-wide group or in the scalar tail, so both
+        // share this body.
+        let push_conflict =
+            |i: usize,
+             kind: CoincidenceKind,
+             pi: f64,
+             conflict: f64,
+             conflicts: &mut Vec<(CoincidenceRecord, f64)>| {
+                let evalue = self.value(i);
+                // Orient the record: the measurement side plays Vm.
+                let (vm, vn) = if self.measured(i) && !incoming.measured {
+                    (&evalue, &incoming.value)
+                } else {
+                    (&incoming.value, &evalue)
+                };
+                let direction = if vm.centroid() < vn.centroid() {
+                    flames_fuzzy::Direction::Low
+                } else {
+                    flames_fuzzy::Direction::High
+                };
+                let nogood_degree = config.tnorm.combine(
+                    conflict,
+                    config.tnorm.combine(incoming.degree, self.degree(i)),
+                );
+                let union_env = incoming.env.union(self.env(i));
+                conflicts.push((
+                    CoincidenceRecord {
+                        quantity: q,
+                        kind,
+                        consistency: Consistency::from_parts(pi, direction),
+                        env: union_env,
+                    },
+                    nogood_degree,
+                ));
+            };
+        let inc_sig = if DOMINANCE {
+            incoming.env.word_signature()
+        } else {
+            0
+        };
+        let mut i0 = 0usize;
+        // 4-wide classification straight off the label columns. All
+        // lane arithmetic mirrors the scalar expressions bit for bit
+        // (see `flames_fuzzy::simd` and its differential suite), so
+        // records, tallies and the dominance verdict match what the
+        // scalar tail computes for the last 1–3 entries.
+        let inc4 = Traps4::splat(&incoming.value);
+        let zero = W4::splat(0.0);
+        let one = W4::splat(1.0);
+        let thr = W4::splat(config.conflict_threshold);
+        let om = W4::splat(1.0 - config.min_tightening);
+        let inc_w4 = W4::splat(inc_width);
+        let inc_deg = W4::splat(incoming.degree - 1e-12);
+        let inc_deg_keep = W4::splat(incoming.degree);
+        let eps = W4::splat(1e-12);
+        let mut sig_groups = 0u64;
+        while i0 + 4 <= self.len() {
+            let ev = Traps4::load(&self.m1, &self.m2, &self.alpha, &self.beta, i0);
+            let inc_in_ev = included4(&inc4, &ev);
+            let ev_in_inc = included4(&ev, &inc4);
+            let nested = inc_in_ev.or(ev_in_inc);
+            let pi = possibility4(&inc4, &ev);
+            let conflict = W4::select(nested, zero, one.sub(pi));
+            let noise = conflict.le(thr);
+            let split = noise.and(nested).and(ne4(&inc4, &ev));
+            let total = noise.not().and(pi.le(zero));
+            for l in 0..4 {
+                let kind_slot = if noise.lane(l) {
+                    usize::from(split.lane(l))
+                } else {
+                    3 - usize::from(!total.lane(l))
+                };
+                tally[kind_slot] += 1;
+            }
+            if !noise.all() {
+                for l in 0..4 {
+                    if noise.lane(l) {
+                        continue;
+                    }
+                    let kind = if total.lane(l) {
+                        CoincidenceKind::TotalConflict
+                    } else {
+                        CoincidenceKind::PartialConflict
+                    };
+                    push_conflict(i0 + l, kind, pi.lane(l), conflict.lane(l), conflicts);
+                }
+            }
+            if DOMINANCE {
+                // Dominance prefilter, both directions, 4 signatures per
+                // step: candidate lanes must pass the word test, the
+                // degree bound and the width/inclusion geometry before
+                // the (expensive) bitset subset walk runs scalar.
+                // Incoming ⊆ existing needs `inc_sig & !sig == 0`.
+                sig_groups += 1;
+                let sig: &[u64; 4] = self.sig[i0..i0 + 4].try_into().expect("4-lane window");
+                let degs = W4::load(&self.degree, i0);
+                let meaningful = inc_w4.le(width4(&ev).mul(om));
+                let geom = ev_in_inc.or(meaningful.not().and(inc_in_ev));
+                let cand = degs.ge(inc_deg).and(geom);
+                let drop_cand = inc_deg_keep
+                    .ge(degs.sub(eps))
+                    .and(inc_in_ev)
+                    .and(meaningful);
+                for (l, &s) in sig.iter().enumerate() {
+                    let held = self.env(i0 + l);
+                    if s & !inc_sig == 0 && cand.lane(l) && held.is_subset_of(&incoming.env) {
+                        dominated = true;
+                    }
+                    let drop =
+                        inc_sig & !s == 0 && drop_cand.lane(l) && incoming.env.is_subset_of(held);
+                    keep.push(!drop);
+                    drops += usize::from(drop);
+                }
+            }
+            i0 += 4;
+        }
+        if DOMINANCE {
+            flames_obs::metrics().sig_prefilter_vec.add(sig_groups);
+        }
+        for i in i0..self.len() {
+            let evalue = self.value(i);
+            let inc_in_ev = incoming.value.is_included_in(&evalue);
+            let ev_in_inc = evalue.is_included_in(&incoming.value);
+            let nested = inc_in_ev || ev_in_inc;
+            // `possibility_of` is bitwise symmetric, so the record's
+            // Vm/Vn orientation (applied in `push_conflict`) does not
+            // change the degree.
+            let pi = incoming.value.possibility_of(&evalue);
+            let conflict = if nested { 0.0 } else { 1.0 - pi };
+            let kind = if conflict <= config.conflict_threshold {
+                if nested && incoming.value != evalue {
+                    CoincidenceKind::Split
+                } else {
+                    CoincidenceKind::Corroboration
+                }
+            } else if pi <= 0.0 {
+                CoincidenceKind::TotalConflict
+            } else {
+                CoincidenceKind::PartialConflict
+            };
+            tally[match kind {
+                CoincidenceKind::Corroboration => 0,
+                CoincidenceKind::Split => 1,
+                CoincidenceKind::PartialConflict => 2,
+                CoincidenceKind::TotalConflict => 3,
+            }] += 1;
+            if matches!(
+                kind,
+                CoincidenceKind::PartialConflict | CoincidenceKind::TotalConflict
+            ) {
+                push_conflict(i, kind, pi, conflict, conflicts);
+            }
+            if DOMINANCE {
+                // Dominance: an existing entry that is at least as
+                // general (subset environment), at least as certain, and
+                // at least as tight — or within the tightening threshold
+                // — makes the incoming value redundant. The threshold is
+                // what keeps fixpoint iteration from churning on
+                // infinitesimal refinements. The word-signature test is a
+                // cheap necessary condition for `existing ⊆ incoming`
+                // that skips the bitset walk for most non-subset pairs.
+                let meaningful = inc_width <= self.width(i) * (1.0 - config.min_tightening);
+                if self.sig(i) & !inc_sig == 0
+                    && self.env(i).is_subset_of(&incoming.env)
+                    && self.degree(i) >= incoming.degree - 1e-12
+                    && (ev_in_inc || (!meaningful && inc_in_ev))
+                {
+                    dominated = true;
+                }
+                // The converse: the incoming value meaningfully improves
+                // on this entry, which is dropped.
+                let drop = inc_sig & !self.sig(i) == 0
+                    && incoming.env.is_subset_of(self.env(i))
+                    && incoming.degree >= self.degree(i) - 1e-12
+                    && inc_in_ev
+                    && meaningful;
+                keep.push(!drop);
+                drops += usize::from(drop);
+            }
+        }
+        let m = flames_obs::metrics();
+        let [corr, split, partial, total] = tally;
+        if corr > 0 {
+            m.corroborations.add(corr);
+        }
+        if split > 0 {
+            m.splits.add(split);
+        }
+        if partial > 0 {
+            m.partial_conflicts.add(partial);
+        }
+        if total > 0 {
+            m.total_conflicts.add(total);
+        }
+        (dominated, drops)
     }
 }
 
@@ -1434,219 +1709,25 @@ impl PropState {
             degree,
             measured,
         };
-        let inc_sig = incoming.env.word_signature();
         let inc_width = incoming.value.support_width();
         let list = &self.entries[q.index()];
-
-        // Coincidence resolution against existing entries (Fig. 4):
-        // inclusion is a split (refinement), overlapping cores a
-        // corroboration, and anything else a conflict graded by the
-        // *possibility of agreement* `π = sup min(μ₁, μ₂)` — the
-        // possibilistic-ATMS reading of the paper's partial conflicts.
-        // (The asymmetric area-based Dc is reserved for the
-        // measured-vs-nominal test-point comparison in the engine.)
-        //
-        // The same pass decides both dominance directions: whether a
-        // held entry makes the incoming one redundant (`dominated`), and
-        // which held entries the incoming one meaningfully improves on
-        // (`keep[i] == false`). The mask is applied as one compaction
-        // after the conflicts are reported, which touches only the
-        // coincidence list and the nogood store, never the columns.
-        let mut dominated = false;
+        debug_assert_eq!(
+            list.widest.to_bits(),
+            list.scan_widest().to_bits(),
+            "cached widest width"
+        );
         let mut conflicts = std::mem::take(&mut self.scratch_conflicts);
         let mut keep = std::mem::take(&mut self.scratch_keep);
-        let mut drops = 0usize;
-        // Coincidence tallies [corroborations, splits, partial, total]:
-        // accumulated locally, flushed as one atomic add per kind.
-        let mut tally = [0u64; 4];
-        // Grades the (rare) conflicting coincidence for entry `i`, with
-        // the degree-of-overlap `pi` and `conflict = 1 − pi` already in
-        // hand — `pi` comes out bit-identical whether the entry was
-        // classified in a 4-wide group or in the scalar tail, so both
-        // routes share this body.
-        let push_conflict =
-            |i: usize,
-             kind: CoincidenceKind,
-             pi: f64,
-             conflict: f64,
-             conflicts: &mut Vec<(CoincidenceRecord, f64)>| {
-                let evalue = list.value(i);
-                // Orient the record: the measurement side plays Vm.
-                let (vm, vn) = if list.measured(i) && !incoming.measured {
-                    (&evalue, &incoming.value)
-                } else {
-                    (&incoming.value, &evalue)
-                };
-                let direction = if vm.centroid() < vn.centroid() {
-                    flames_fuzzy::Direction::Low
-                } else {
-                    flames_fuzzy::Direction::High
-                };
-                let nogood_degree = config.tnorm.combine(
-                    conflict,
-                    config.tnorm.combine(incoming.degree, list.degree(i)),
-                );
-                let union_env = incoming.env.union(list.env(i));
-                conflicts.push((
-                    CoincidenceRecord {
-                        quantity: q,
-                        kind,
-                        consistency: Consistency::from_parts(pi, direction),
-                        env: union_env,
-                    },
-                    nogood_degree,
-                ));
-            };
-        let mut i0 = 0usize;
-        // 4-wide classification straight off the label columns. All
-        // lane arithmetic mirrors the scalar expressions bit for bit
-        // (see `flames_fuzzy::simd` and its differential suite), so
-        // records, tallies and the dominance verdict match what the
-        // scalar tail computes for the last 1–3 entries.
-        let inc4 = Traps4::splat(&incoming.value);
-        let zero = W4::splat(0.0);
-        let one = W4::splat(1.0);
-        let thr = W4::splat(config.conflict_threshold);
-        let om = W4::splat(1.0 - config.min_tightening);
-        let inc_w4 = W4::splat(inc_width);
-        let inc_deg = W4::splat(incoming.degree - 1e-12);
-        let inc_deg_keep = W4::splat(incoming.degree);
-        let eps = W4::splat(1e-12);
-        let mut sig_groups = 0u64;
-        while i0 + 4 <= list.len() {
-            let ev = Traps4::load(&list.m1, &list.m2, &list.alpha, &list.beta, i0);
-            let inc_in_ev = included4(&inc4, &ev);
-            let ev_in_inc = included4(&ev, &inc4);
-            let nested = inc_in_ev.or(ev_in_inc);
-            let pi = possibility4(&inc4, &ev);
-            let conflict = W4::select(nested, zero, one.sub(pi));
-            let noise = conflict.le(thr);
-            let split = noise.and(nested).and(ne4(&inc4, &ev));
-            let total = noise.not().and(pi.le(zero));
-            for l in 0..4 {
-                let kind_slot = if noise.lane(l) {
-                    usize::from(split.lane(l))
-                } else {
-                    3 - usize::from(!total.lane(l))
-                };
-                tally[kind_slot] += 1;
-            }
-            if !noise.all() {
-                for l in 0..4 {
-                    if noise.lane(l) {
-                        continue;
-                    }
-                    let kind = if total.lane(l) {
-                        CoincidenceKind::TotalConflict
-                    } else {
-                        CoincidenceKind::PartialConflict
-                    };
-                    push_conflict(i0 + l, kind, pi.lane(l), conflict.lane(l), &mut conflicts);
-                }
-            }
-            // Dominance prefilter, both directions, 4 signatures per
-            // step: candidate lanes must pass the word test, the degree
-            // bound and the width/inclusion geometry before the
-            // (expensive) bitset subset walk runs scalar. Incoming ⊆
-            // existing needs `inc_sig & !sig == 0`.
-            sig_groups += 1;
-            let sig: &[u64; 4] = list.sig[i0..i0 + 4].try_into().expect("4-lane window");
-            let degs = W4::load(&list.degree, i0);
-            let meaningful = inc_w4.le(width4(&ev).mul(om));
-            let geom = ev_in_inc.or(meaningful.not().and(inc_in_ev));
-            let cand = degs.ge(inc_deg).and(geom);
-            let drop_cand = inc_deg_keep
-                .ge(degs.sub(eps))
-                .and(inc_in_ev)
-                .and(meaningful);
-            for (l, &s) in sig.iter().enumerate() {
-                let held = list.env(i0 + l);
-                if s & !inc_sig == 0 && cand.lane(l) && held.is_subset_of(&incoming.env) {
-                    dominated = true;
-                }
-                let drop =
-                    inc_sig & !s == 0 && drop_cand.lane(l) && incoming.env.is_subset_of(held);
-                keep.push(!drop);
-                drops += usize::from(drop);
-            }
-            i0 += 4;
-        }
-        flames_obs::metrics().sig_prefilter_vec.add(sig_groups);
-        for i in i0..list.len() {
-            let evalue = list.value(i);
-            let inc_in_ev = incoming.value.is_included_in(&evalue);
-            let ev_in_inc = evalue.is_included_in(&incoming.value);
-            let nested = inc_in_ev || ev_in_inc;
-            // `possibility_of` is bitwise symmetric, so the record's
-            // Vm/Vn orientation (applied in `push_conflict`) does not
-            // change the degree.
-            let pi = incoming.value.possibility_of(&evalue);
-            let conflict = if nested { 0.0 } else { 1.0 - pi };
-            let kind = if conflict <= config.conflict_threshold {
-                if nested && incoming.value != evalue {
-                    CoincidenceKind::Split
-                } else {
-                    CoincidenceKind::Corroboration
-                }
-            } else if pi <= 0.0 {
-                CoincidenceKind::TotalConflict
-            } else {
-                CoincidenceKind::PartialConflict
-            };
-            tally[match kind {
-                CoincidenceKind::Corroboration => 0,
-                CoincidenceKind::Split => 1,
-                CoincidenceKind::PartialConflict => 2,
-                CoincidenceKind::TotalConflict => 3,
-            }] += 1;
-            if matches!(
-                kind,
-                CoincidenceKind::PartialConflict | CoincidenceKind::TotalConflict
-            ) {
-                push_conflict(i, kind, pi, conflict, &mut conflicts);
-            }
-            // Dominance: an existing entry that is at least as general
-            // (subset environment), at least as certain, and at least as
-            // tight — or within the tightening threshold — makes the
-            // incoming value redundant. The threshold is what keeps
-            // fixpoint iteration from churning on infinitesimal
-            // refinements. The word-signature test is a cheap necessary
-            // condition for `existing ⊆ incoming` that skips the bitset
-            // walk for most non-subset pairs.
-            let meaningful = inc_width <= list.width(i) * (1.0 - config.min_tightening);
-            if list.sig(i) & !inc_sig == 0
-                && list.env(i).is_subset_of(&incoming.env)
-                && list.degree(i) >= incoming.degree - 1e-12
-                && (ev_in_inc || (!meaningful && inc_in_ev))
-            {
-                dominated = true;
-            }
-            // The converse: the incoming value meaningfully improves on
-            // this entry, which is dropped.
-            let drop = inc_sig & !list.sig(i) == 0
-                && incoming.env.is_subset_of(list.env(i))
-                && incoming.degree >= list.degree(i) - 1e-12
-                && inc_in_ev
-                && meaningful;
-            keep.push(!drop);
-            drops += usize::from(drop);
-        }
-        {
-            let m = flames_obs::metrics();
-            let [corr, split, partial, total] = tally;
-            if corr > 0 {
-                m.corroborations.add(corr);
-            }
-            if split > 0 {
-                m.splits.add(split);
-            }
-            if partial > 0 {
-                m.partial_conflicts.add(partial);
-            }
-            if total > 0 {
-                m.total_conflicts.add(total);
-            }
-        }
+        // A value that can neither replace nor drop a held entry of a
+        // full label leaves it as it is, dominated or not: only its
+        // coincidences matter, so it skips both dominance directions.
+        // It then reaches the cap check below with `drops == 0` and
+        // `inc_width ≥ list.widest`, which returns `false`.
+        let (dominated, drops) = if list.admits_only_conflicts(inc_width, config) {
+            list.classify::<false>(q, &incoming, inc_width, config, &mut conflicts, &mut keep)
+        } else {
+            list.classify::<true>(q, &incoming, inc_width, config, &mut conflicts, &mut keep)
+        };
         for (record, nogood_degree) in conflicts.drain(..) {
             self.atms.add_nogood(&record.env, nogood_degree);
             self.coincidences.push(record);
@@ -1668,19 +1749,15 @@ impl PropState {
             // be evicted by derived values.) This keeps the cap from
             // making results order-dependent — a late probe or a tight
             // conditional derivation must never bounce off stale wide
-            // values. `total_cmp` departs from IEEE order only on a ±0
-            // tie, which picks a zero width that `inc_width < width`
-            // rejects anyway.
-            let widest = (0..list.len())
-                .max_by(|&a, &b| list.width(a).total_cmp(&list.width(b)))
-                .map(|i| (i, list.width(i)));
-            match widest {
-                Some((i, width)) if inc_width < width => {
-                    list.set(i, incoming);
-                    return true;
-                }
-                _ => return drops > 0,
+            // values. `list.widest` follows `total_cmp`, which departs
+            // from IEEE order only on a ±0 tie, which picks a zero width
+            // that `inc_width < width` rejects anyway.
+            if inc_width < list.widest {
+                let i = list.widest_index().expect("a wider entry is held");
+                list.set(i, incoming);
+                return true;
             }
+            return drops > 0;
         }
         list.push(incoming);
         true
@@ -2298,6 +2375,56 @@ mod tests {
         assert!(rows_seen > 1_000);
     }
 
+    #[test]
+    fn a_nan_width_entry_reaches_grade_specs_without_a_panic() {
+        let (nl, mut network) = divider(0.05);
+        let mid = nl.net_by_name("mid").unwrap();
+        let vq = network.voltage_quantity(mid);
+        let r2 = nl.component_by_name("R2").unwrap();
+        network.add_spec(
+            "mid below 4 V",
+            vq,
+            FuzzyInterval::crisp_interval(0.0, 4.0).unwrap(),
+            vec![r2],
+        );
+        let config = PropagatorConfig::default();
+        let mut prop = Propagator::new(&nl, &network, config);
+        prop.observe(vq, FuzzyInterval::crisp(5.0).widened(0.05).unwrap())
+            .unwrap();
+        prop.run();
+        let graded = |prop: &mut Propagator<'_>| {
+            prop.state.coincidences.clear();
+            prop.state
+                .grade_specs(prop.schedule.get(), &network, config);
+            prop.coincidences().to_vec()
+        };
+        let want = graded(&mut prop);
+        assert_eq!(want.len(), 1, "5 V violates the 4 V spec");
+        // Put a wider entry ahead of the measurement and poison its
+        // right spread: its width is NaN, which `total_cmp` orders after
+        // every number, so the tightest entry and the spec's grade stay
+        // as they were.
+        let cols = &mut prop.state.entries[vq.index()];
+        let held = cols.to_entries();
+        cols.clear();
+        cols.push(ValueEntry {
+            value: FuzzyInterval::crisp(5.0).widened(1.0).unwrap(),
+            env: Env::from_ids([0]),
+            degree: 1.0,
+            measured: false,
+        });
+        for e in held {
+            cols.push(e);
+        }
+        let tightest = cols.tightest().unwrap();
+        assert_ne!(tightest, 0);
+        cols.beta[0] = f64::NAN;
+        cols.widest = cols.scan_widest();
+        assert!(cols.width(0).is_nan());
+        assert_eq!(cols.tightest(), Some(tightest));
+        assert_eq!(graded(&mut prop), want);
+    }
+
     /// The two-pass insert this module shipped before the keep mask was
     /// fused into the classification pass: classify and test dominance,
     /// report conflicts, then walk the label columns a second time for
@@ -2659,28 +2786,89 @@ mod tests {
         )
     }
 
+    /// Asserts that two stores carry the same coincidence records, field
+    /// by field and bit for bit in the consistency degree.
+    fn assert_same_coincidences(got: &PropState, want: &PropState, at: &str) {
+        assert_eq!(got.coincidences.len(), want.coincidences.len(), "{at}");
+        for (g, w) in got.coincidences.iter().zip(&want.coincidences) {
+            assert_eq!(g.quantity, w.quantity, "{at}");
+            assert_eq!(g.kind, w.kind, "{at}");
+            assert_eq!(
+                g.consistency.degree().to_bits(),
+                w.consistency.degree().to_bits(),
+                "{at}"
+            );
+            assert_eq!(g.consistency.direction(), w.consistency.direction(), "{at}");
+            assert_eq!(g.env, w.env, "{at}");
+        }
+    }
+
+    /// Inserts into both stores, checks the route [`PropState::insert`]
+    /// takes against its specification (full label, widest width
+    /// `w > 0`, `inc_width ≥ w`, `inc_width > w·(1 − min_tightening)`,
+    /// with `w` the last `total_cmp` maximum of the held widths), and
+    /// that result and store match the reference. Returns whether the
+    /// conflict-only route was taken and whether the label changed.
+    fn insert_both(
+        fused: &mut PropState,
+        reference: &mut PropState,
+        config: PropagatorConfig,
+        (qi, value, env, degree, measured): (usize, FuzzyInterval, Env, f64, bool),
+        at: &str,
+    ) -> (bool, bool) {
+        let q = QuantityId::from_raw(qi);
+        let inc_width = value.support_width();
+        let held = reference.entries[qi].to_entries();
+        let widest = held
+            .iter()
+            .map(|h| h.value.support_width())
+            .max_by(f64::total_cmp);
+        let spec = held.len() >= config.max_entries
+            && widest.is_some_and(|w| {
+                w > 0.0 && inc_width >= w && inc_width > w * (1.0 - config.min_tightening)
+            });
+        let route = fused.atms.plausibility(&env) > 0.0
+            && fused.entries[qi].admits_only_conflicts(inc_width, config);
+        assert_eq!(
+            route,
+            spec && reference.atms.plausibility(&env) > 0.0,
+            "{at}: route"
+        );
+        let want = reference_insert(reference, config, q, value, env.clone(), degree, measured);
+        let got = fused.insert(config, q, value, env, degree, measured);
+        assert_eq!(got, want, "{at}");
+        assert_same_coincidences(fused, reference, at);
+        assert_eq!(store_bits(fused), store_bits(reference), "{at}");
+        (route, got)
+    }
+
     #[test]
     fn insert_matches_the_two_pass_reference() {
         // Cases the streams must reach, counted against the reference's
         // inputs: [dominated, drop below cap, drop at cap, crisp, equal
-        // width at cap, killed].
-        let mut seen = [0usize; 6];
-        for max_entries in [2, 3, 8] {
+        // width at cap, killed, conflict-only at equal width].
+        let mut seen = [0usize; 7];
+        for (max_entries, min_tightening) in [(2, 0.01), (3, 0.01), (8, 0.01), (3, 0.0)] {
             let config = PropagatorConfig {
                 max_entries,
+                min_tightening,
                 ..PropagatorConfig::default()
             };
+            let mut routed = 0usize;
             for seed in 0..100u64 {
                 let mut rng = Rng(seed.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ max_entries as u64);
                 let mut fused = blank_state(2);
                 let mut reference = blank_state(2);
                 for step in 0..80 {
                     let (qi, value, env, degree, measured) = random_insert(&mut rng);
-                    let q = QuantityId::from_raw(qi);
                     let list = &reference.entries[qi];
                     let inc_width = value.support_width();
                     let held: Vec<ValueEntry> = list.to_entries();
                     let full = held.len() >= max_entries;
+                    let widest = held
+                        .iter()
+                        .map(|h| h.value.support_width())
+                        .fold(f64::NEG_INFINITY, f64::max);
                     if reference.atms.plausibility(&env) <= 0.0 {
                         seen[5] += 1;
                     } else {
@@ -2704,37 +2892,86 @@ mod tests {
                             seen[if full { 2 } else { 1 }] += 1;
                         }
                         seen[3] += usize::from(inc_width == 0.0);
-                        seen[4] += usize::from(
-                            full && !dominated
-                                && !drops
-                                && held
-                                    .iter()
-                                    .map(|h| h.value.support_width())
-                                    .fold(f64::NEG_INFINITY, f64::max)
-                                    == inc_width,
-                        );
+                        seen[4] += usize::from(full && !dominated && !drops && widest == inc_width);
                     }
-                    let want = reference_insert(
-                        &mut reference,
-                        config,
-                        q,
-                        value,
-                        env.clone(),
-                        degree,
-                        measured,
-                    );
-                    let got = fused.insert(config, q, value, env, degree, measured);
-                    assert_eq!(got, want, "max {max_entries} seed {seed} step {step}");
-                    assert_eq!(
-                        store_bits(&fused),
-                        store_bits(&reference),
-                        "max {max_entries} seed {seed} step {step}"
-                    );
+                    let at = format!("max {max_entries}/{min_tightening} seed {seed} step {step}");
+                    let row = (qi, value, env, degree, measured);
+                    if insert_both(&mut fused, &mut reference, config, row, &at).0 {
+                        routed += 1;
+                        seen[6] += usize::from(widest == inc_width);
+                    }
                 }
             }
+            assert!(
+                routed >= 20,
+                "max {max_entries}/{min_tightening}: conflict-only route taken {routed} times"
+            );
         }
         for (case, &n) in seen.iter().enumerate() {
             assert!(n >= 20, "case {case} reached only {n} times: {seen:?}");
+        }
+    }
+
+    /// A fused store and a reference store whose quantity 0 holds
+    /// `max_entries` copies of `value` under pairwise-incomparable
+    /// two-assumption environments, so no held entry dominates or drops
+    /// another.
+    fn full_label(config: PropagatorConfig, value: FuzzyInterval) -> (PropState, PropState) {
+        let mut fused = blank_state(1);
+        let mut reference = blank_state(1);
+        let pairs = (0..5u32).flat_map(|a| (a + 1..5).map(move |b| [a, b]));
+        for (k, pair) in pairs.take(config.max_entries).enumerate() {
+            let at = format!("max {} fill {k}", config.max_entries);
+            let row = (0, value, Env::from_ids(pair), 1.0, false);
+            insert_both(&mut fused, &mut reference, config, row, &at);
+        }
+        assert_eq!(fused.entries[0].len(), config.max_entries);
+        (fused, reference)
+    }
+
+    #[test]
+    fn full_labels_route_by_the_width_bounds() {
+        let trap = |s: f64| FuzzyInterval::new(0.0, 0.0, s, s).expect("valid");
+        for max_entries in [2, 3, 8] {
+            let config = PropagatorConfig {
+                max_entries,
+                ..PropagatorConfig::default()
+            };
+            // A label of crisp points (widest width 0) keeps every
+            // incoming value, wide or crisp, on the full route.
+            for (k, value) in [trap(0.5), trap(0.0), FuzzyInterval::crisp(5.0)]
+                .into_iter()
+                .enumerate()
+            {
+                let (mut fused, mut reference) = full_label(config, FuzzyInterval::crisp(0.0));
+                let at = format!("max {max_entries} crisp probe {k}");
+                let row = (0, value, Env::from_ids([4]), 0.9, false);
+                let (route, _) = insert_both(&mut fused, &mut reference, config, row, &at);
+                assert!(!route, "{at}");
+            }
+            // A label of width-2 values, min_tightening 0.01: widths in
+            // (1.98, 2) still replace the widest entry, 2 and above only
+            // add coincidences, and 1.98 itself drops every held entry
+            // whose environment contains the incoming one.
+            for (spread, env, want_route, want_changed) in [
+                (0.9995, [4].as_slice(), false, true),
+                (1.0, &[4], true, false),
+                (1.25, &[4], true, false),
+                (3.0, &[0], true, false),
+                (0.99, &[0], false, true),
+            ] {
+                let (mut fused, mut reference) = full_label(config, trap(1.0));
+                let at = format!("max {max_entries} spread {spread}");
+                let row = (
+                    0,
+                    trap(spread),
+                    Env::from_ids(env.iter().copied()),
+                    1.0,
+                    false,
+                );
+                let (route, changed) = insert_both(&mut fused, &mut reference, config, row, &at);
+                assert_eq!((route, changed), (want_route, want_changed), "{at}");
+            }
         }
     }
 }

@@ -46,7 +46,7 @@ use flames_fuzzy::{Direction, FuzzyInterval};
 use flames_obs::trace::escape_json;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Default bound on the number of stored rules.
 pub const DEFAULT_MAX_RULES: usize = 4096;
@@ -359,7 +359,7 @@ impl RuleStore {
     /// evicting the weakest rules past the bound, and publishes a new
     /// snapshot.
     pub fn learn(&self, symptoms: Vec<Symptom>, culprit: impl Into<String>, mode: Option<String>) {
-        let mut inner = self.inner.lock().expect("store lock poisoned");
+        let mut inner = self.locked();
         inner.kb.learn(symptoms, culprit, mode);
         self.evict_over_bound(&mut inner);
         self.publish(&inner);
@@ -368,7 +368,7 @@ impl RuleStore {
     /// Decays a disconfirmed rule (see [`KnowledgeBase::disconfirm`])
     /// and publishes a new snapshot.
     pub fn disconfirm(&self, symptoms: &[Symptom], culprit: &str) {
-        let mut inner = self.inner.lock().expect("store lock poisoned");
+        let mut inner = self.locked();
         inner.kb.disconfirm(symptoms, culprit);
         self.publish(&inner);
     }
@@ -392,7 +392,7 @@ impl RuleStore {
         else {
             return;
         };
-        let mut inner = self.inner.lock().expect("store lock poisoned");
+        let mut inner = self.locked();
         let rivals: Vec<String> = inner
             .kb
             .iter()
@@ -405,6 +405,15 @@ impl RuleStore {
         inner.kb.learn(symptoms, culprit, None);
         self.evict_over_bound(&mut inner);
         self.publish(&inner);
+    }
+
+    /// The writer lock. A writer that panicked leaves it poisoned; the
+    /// rules it guards are plain data that at worst miss that writer's
+    /// update, and readers only ever see published snapshots, so later
+    /// writers take the guard back instead of failing for good (as
+    /// `Session::locked_cand_cache` does for the candidate cache).
+    fn locked(&self) -> MutexGuard<'_, StoreInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn evict_over_bound(&self, inner: &mut StoreInner) {
@@ -773,6 +782,44 @@ mod tests {
         assert_eq!(store.len(), 1);
         store.disconfirm(&[sym("V1", Direction::Low, Severity::Total)], "R3");
         assert_eq!(store.epoch(), 2);
+    }
+
+    #[test]
+    fn writers_survive_a_writer_that_panicked() {
+        let store = RuleStore::new();
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = store.locked();
+                    panic!("writer panics while holding the store lock");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(store.inner.is_poisoned());
+        let v1_low = sym("V1", Direction::Low, Severity::Total);
+        store.learn(vec![v1_low.clone()], "R3", None);
+        assert_eq!((store.epoch(), store.len()), (1, 1));
+        store.disconfirm(std::slice::from_ref(&v1_low), "R3");
+        assert_eq!(store.epoch(), 2);
+        let report = Report {
+            points: vec![PointReport {
+                name: "V2".to_owned(),
+                predicted: FuzzyInterval::crisp(1.0),
+                measured: Some(FuzzyInterval::crisp(3.0)),
+                consistency: Some(flames_fuzzy::Consistency::from_parts(0.0, Direction::High)),
+            }],
+            nogoods: Vec::new(),
+            candidates: Vec::new(),
+            refined: vec![Candidate {
+                members: vec!["T2".to_owned()],
+                env: Env::empty(),
+                degree: 1.0,
+            }],
+        };
+        store.absorb(&report);
+        assert_eq!(store.epoch(), 3);
+        assert!(store.snapshot().rules().iter().any(|r| r.culprit == "T2"));
     }
 
     #[test]
