@@ -226,31 +226,39 @@ impl Env {
     }
 
     /// In-place union; returns whether `self` gained any assumption.
+    /// Two inline sets merge in two word ops, inlined at the call site;
+    /// any spilled operand takes the out-of-line path.
+    #[inline]
     pub fn union_with(&mut self, other: &Self) -> bool {
-        let b = other.words();
-        if b.len() > self.words().len() {
-            // Delegate to the allocating path for the rare spill growth.
-            let merged = self.union(other);
-            let changed = merged != *self;
-            *self = merged;
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&mut self.repr, &other.repr) {
+            let changed = (b[0] & !a[0]) | (b[1] & !a[1]) != 0;
+            a[0] |= b[0];
+            a[1] |= b[1];
             return changed;
         }
-        let mut changed = false;
+        self.union_with_spill(other)
+    }
+
+    /// [`Env::union_with`] when either side is spilled.
+    fn union_with_spill(&mut self, other: &Self) -> bool {
+        let b = other.words();
         match &mut self.repr {
-            Repr::Inline(w) => {
-                for (slot, &bw) in w.iter_mut().zip(b) {
-                    changed |= bw & !*slot != 0;
-                    *slot |= bw;
-                }
-            }
-            Repr::Spill(v) => {
+            Repr::Spill(v) if b.len() <= v.len() => {
+                let mut changed = false;
                 for (slot, &bw) in v.iter_mut().zip(b) {
                     changed |= bw & !*slot != 0;
                     *slot |= bw;
                 }
+                changed
+            }
+            // `other` reaches past `self`'s words: the allocating path.
+            _ => {
+                let merged = self.union(other);
+                let changed = merged != *self;
+                *self = merged;
+                changed
             }
         }
-        changed
     }
 
     /// Set intersection.
@@ -275,12 +283,22 @@ impl Env {
     }
 
     /// Subset test (`self ⊆ other`): word-wise `self & !other == 0`.
+    /// Two inline sets compare in two word ops, inlined at the call
+    /// site; any spilled operand takes the out-of-line path.
     #[must_use]
+    #[inline]
     pub fn is_subset_of(&self, other: &Self) -> bool {
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&self.repr, &other.repr) {
+            return (a[0] & !b[0]) | (a[1] & !b[1]) == 0;
+        }
+        self.is_subset_of_spill(other)
+    }
+
+    /// [`Env::is_subset_of`] when either side is spilled.
+    fn is_subset_of_spill(&self, other: &Self) -> bool {
         let (a, b) = (self.words(), other.words());
         if a.len() > b.len() {
             // Canonical spill ⇒ `a` has a set bit beyond `b`'s words.
-            // (Inline vs inline is always equal-length.)
             if a[b.len()..].iter().any(|&w| w != 0) {
                 return false;
             }
@@ -572,6 +590,36 @@ mod tests {
 
     #[test]
     fn mixed_inline_spill_set_ops() {
+        // `union_with` (result and return value) and `is_subset_of` on
+        // all four inline/spill pairings, against the allocating
+        // `union` and the word-slice definition of subset.
+        let sets = [
+            env(&[]),
+            env(&[1, 5]),
+            env(&[1, 5, 64, 127]),
+            env(&[64]),
+            env(&[1, 5, 130]),
+            env(&[130]),
+            env(&[64, 130, 300]),
+            env(&[1, 5, 64, 127, 130, 300]),
+        ];
+        let mut pairings = [[false; 2]; 2];
+        for a in &sets {
+            for b in &sets {
+                let spilled = |e: &Env| matches!(e.repr, Repr::Spill(_));
+                pairings[usize::from(spilled(a))][usize::from(spilled(b))] = true;
+                let want = a.union(b);
+                let mut got = a.clone();
+                assert_eq!(got.union_with(b), want != *a, "{a} ∪= {b}: changed");
+                assert_eq!(got, want, "{a} ∪= {b}");
+                let (wa, wb) = (a.words(), b.words());
+                let subset = (0..wa.len().max(wb.len())).all(|i| {
+                    wa.get(i).copied().unwrap_or(0) & !wb.get(i).copied().unwrap_or(0) == 0
+                });
+                assert_eq!(a.is_subset_of(b), subset, "{a} ⊆ {b}");
+            }
+        }
+        assert_eq!(pairings, [[true; 2]; 2]);
         let small = env(&[1, 5]);
         let big = env(&[1, 5, 130]);
         assert!(small.is_subset_of(&big));

@@ -239,6 +239,20 @@ impl FuzzyAtms {
             .fold(0.0, f64::max)
     }
 
+    /// Whether `env` is erased by a total conflict: some stored nogood of
+    /// degree 1 is a subset of it. Exactly `plausibility(env) <= 0.0`,
+    /// since installed degrees are clamped to ≤ 1 (NaN installs as 1),
+    /// but it tests the degree before the subset walk and stops at the
+    /// first hit.
+    #[must_use]
+    pub fn is_killed(&self, env: &Env) -> bool {
+        let sig = env.signature();
+        self.nogood_ids
+            .iter()
+            .zip(&self.nogoods)
+            .any(|(&id, n)| n.degree >= 1.0 && self.envs.is_subset_of_raw(id, env, sig))
+    }
+
     /// Suspicion of a single assumption: the strongest conflict that
     /// implicates it (0 when none does).
     #[must_use]

@@ -245,3 +245,43 @@ fn observables_are_invariant_under_install_order() {
         }
     }
 }
+
+/// `is_killed` is exactly `plausibility(env) <= 0.0` at every point of
+/// an install stream — over probe environments and the stream's own
+/// conflicts — including installs whose raw degree is above 1 or NaN
+/// (both stored as 1) and the store's Pareto re-minimization.
+#[test]
+fn is_killed_matches_zero_plausibility() {
+    let mut rng = Rng(0x1A75_0005);
+    let mut killed = 0usize;
+    for case in 0..CASES {
+        let mut stream = random_stream(&mut rng);
+        let n = stream.nogoods.len();
+        for (k, (_, degree)) in stream.nogoods.iter_mut().enumerate() {
+            match (case + k) % 7 {
+                0 => *degree = f64::NAN,
+                1 => *degree = 1.5,
+                _ => {}
+            }
+        }
+        let envs: Vec<Env> = probes(&mut rng, &stream.assumptions)
+            .into_iter()
+            .chain(stream.nogoods.iter().map(|(env, _)| env.clone()))
+            .collect();
+        let mut atms = build(&stream, &[]);
+        for i in shuffled(&mut rng, n) {
+            let (env, degree) = &stream.nogoods[i];
+            atms.add_nogood(env, *degree);
+            for probe in &envs {
+                let want = atms.plausibility(probe) <= 0.0;
+                assert_eq!(
+                    atms.is_killed(probe),
+                    want,
+                    "case {case}: is_killed({probe}) after installing ({env}, {degree})"
+                );
+                killed += usize::from(want);
+            }
+        }
+    }
+    assert!(killed > 1_000, "the streams must kill environments");
+}

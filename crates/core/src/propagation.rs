@@ -39,7 +39,9 @@ use flames_atms::{Assumption, AssumptionPool, Env, FuzzyAtms, TNorm};
 use flames_circuit::compile::{CompiledNetwork, CompiledRelation};
 use flames_circuit::constraint::{Network, QuantityId};
 use flames_circuit::{CompId, Net, Netlist};
-use flames_fuzzy::simd::{add4, included4, ne4, possibility4, scale4, width4, Traps4, W4};
+use flames_fuzzy::simd::{
+    add4, div4, included4, mul4, ne4, possibility4, scale4, width4, Traps4, W4,
+};
 use flames_fuzzy::{Consistency, FuzzyInterval};
 use std::collections::VecDeque;
 
@@ -90,20 +92,6 @@ pub(crate) struct EntryColumns {
 }
 
 impl EntryColumns {
-    /// The empty store — `const` so the combination enumerator can pad
-    /// its fixed-arity list array with references to it.
-    const EMPTY: Self = Self {
-        m1: Vec::new(),
-        m2: Vec::new(),
-        alpha: Vec::new(),
-        beta: Vec::new(),
-        env: Vec::new(),
-        sig: Vec::new(),
-        degree: Vec::new(),
-        measured: Vec::new(),
-        widest: 0.0,
-    };
-
     fn len(&self) -> usize {
         self.m1.len()
     }
@@ -156,16 +144,6 @@ impl EntryColumns {
         ValueEntry {
             value: self.value(i),
             env: self.env[i].clone(),
-            degree: self.degree[i],
-            measured: self.measured[i],
-        }
-    }
-
-    /// A borrowed row view for constraint evaluation (no env clone).
-    fn entry_ref(&self, i: usize) -> EntryRef<'_> {
-        EntryRef {
-            value: self.value(i),
-            env: &self.env[i],
             degree: self.degree[i],
             measured: self.measured[i],
         }
@@ -273,7 +251,8 @@ impl EntryColumns {
 
     /// The Fig. 4 coincidence resolution of `incoming` against every
     /// held entry, appending its conflicts (record plus nogood degree)
-    /// to `conflicts` and flushing the coincidence tallies. Coincidences
+    /// to `conflicts` and returning the coincidence tallies
+    /// `[corroborations, splits, partial, total]`. Coincidences
     /// are classified by inclusion and the *possibility of agreement*
     /// `π = sup min(μ₁, μ₂)`: inclusion is a split (refinement),
     /// overlapping cores a corroboration, and anything else a conflict
@@ -282,13 +261,13 @@ impl EntryColumns {
     /// the measured-vs-nominal test-point comparison in the engine.)
     ///
     /// With `DOMINANCE` the same pass decides both dominance directions
-    /// and returns them as `(dominated, drops)`: whether a held entry
+    /// and returns them as `dominated` and `drops`: whether a held entry
     /// makes the incoming one redundant, and how many held entries the
     /// incoming one meaningfully improves on (`keep[i] == false`, one
     /// flag pushed per entry). Without it only the classification runs
     /// — over the same entries in the same order, so records and
-    /// tallies are the same — and the result is `(false, 0)` with
-    /// `keep` untouched.
+    /// tallies are the same — and they are `false` and `0` with `keep`
+    /// untouched.
     fn classify<const DOMINANCE: bool>(
         &self,
         q: QuantityId,
@@ -297,11 +276,9 @@ impl EntryColumns {
         config: PropagatorConfig,
         conflicts: &mut Vec<(CoincidenceRecord, f64)>,
         keep: &mut Vec<bool>,
-    ) -> (bool, usize) {
+    ) -> (bool, usize, [u64; 4]) {
         let mut dominated = false;
         let mut drops = 0usize;
-        // Coincidence tallies [corroborations, splits, partial, total]:
-        // accumulated locally, flushed as one atomic add per kind.
         let mut tally = [0u64; 4];
         // Grades the (rare) conflicting coincidence for entry `i`, with
         // the degree-of-overlap `pi` and `conflict = 1 − pi` already in
@@ -369,55 +346,62 @@ impl EntryColumns {
             let nested = inc_in_ev.or(ev_in_inc);
             let pi = possibility4(&inc4, &ev);
             let conflict = W4::select(nested, zero, one.sub(pi));
-            let noise = conflict.le(thr);
-            let split = noise.and(nested).and(ne4(&inc4, &ev));
-            let total = noise.not().and(pi.le(zero));
-            for l in 0..4 {
-                let kind_slot = if noise.lane(l) {
-                    usize::from(split.lane(l))
+            // Masks are consumed as bitmasks (lane `l` in bit `l`), never
+            // through per-lane branches: tallies are popcounts, and only
+            // set bits reach the scalar work below, in ascending lane
+            // order.
+            let noise = conflict.le(thr).bits();
+            let split = noise & nested.and(ne4(&inc4, &ev)).bits();
+            let total = pi.le(zero).bits() & !noise;
+            let conflicting = !noise & 0xF;
+            tally[0] += u64::from((noise & !split).count_ones());
+            tally[1] += u64::from(split.count_ones());
+            tally[2] += u64::from((conflicting & !total).count_ones());
+            tally[3] += u64::from(total.count_ones());
+            for l in set_lanes(conflicting) {
+                let kind = if total & (1 << l) != 0 {
+                    CoincidenceKind::TotalConflict
                 } else {
-                    3 - usize::from(!total.lane(l))
+                    CoincidenceKind::PartialConflict
                 };
-                tally[kind_slot] += 1;
-            }
-            if !noise.all() {
-                for l in 0..4 {
-                    if noise.lane(l) {
-                        continue;
-                    }
-                    let kind = if total.lane(l) {
-                        CoincidenceKind::TotalConflict
-                    } else {
-                        CoincidenceKind::PartialConflict
-                    };
-                    push_conflict(i0 + l, kind, pi.lane(l), conflict.lane(l), conflicts);
-                }
+                push_conflict(i0 + l, kind, pi.lane(l), conflict.lane(l), conflicts);
             }
             if DOMINANCE {
                 // Dominance prefilter, both directions, 4 signatures per
                 // step: candidate lanes must pass the word test, the
                 // degree bound and the width/inclusion geometry before
                 // the (expensive) bitset subset walk runs scalar.
-                // Incoming ⊆ existing needs `inc_sig & !sig == 0`.
+                // Held ⊆ incoming needs `s & !inc_sig == 0`, incoming ⊆
+                // held needs `inc_sig & !s == 0`.
                 sig_groups += 1;
                 let sig: &[u64; 4] = self.sig[i0..i0 + 4].try_into().expect("4-lane window");
+                let mut held_sub = 0u32;
+                let mut inc_sub = 0u32;
+                for (l, &s) in sig.iter().enumerate() {
+                    held_sub |= u32::from(s & !inc_sig == 0) << l;
+                    inc_sub |= u32::from(inc_sig & !s == 0) << l;
+                }
                 let degs = W4::load(&self.degree, i0);
                 let meaningful = inc_w4.le(width4(&ev).mul(om));
                 let geom = ev_in_inc.or(meaningful.not().and(inc_in_ev));
-                let cand = degs.ge(inc_deg).and(geom);
+                let cand = degs.ge(inc_deg).and(geom).bits() & held_sub;
                 let drop_cand = inc_deg_keep
                     .ge(degs.sub(eps))
                     .and(inc_in_ev)
-                    .and(meaningful);
-                for (l, &s) in sig.iter().enumerate() {
-                    let held = self.env(i0 + l);
-                    if s & !inc_sig == 0 && cand.lane(l) && held.is_subset_of(&incoming.env) {
-                        dominated = true;
+                    .and(meaningful)
+                    .bits()
+                    & inc_sub;
+                if !dominated {
+                    dominated =
+                        set_lanes(cand).any(|l| self.env(i0 + l).is_subset_of(&incoming.env));
+                }
+                let base = keep.len();
+                keep.extend_from_slice(&[true; 4]);
+                for l in set_lanes(drop_cand) {
+                    if incoming.env.is_subset_of(self.env(i0 + l)) {
+                        keep[base + l] = false;
+                        drops += 1;
                     }
-                    let drop =
-                        inc_sig & !s == 0 && drop_cand.lane(l) && incoming.env.is_subset_of(held);
-                    keep.push(!drop);
-                    drops += usize::from(drop);
                 }
             }
             i0 += 4;
@@ -486,63 +470,52 @@ impl EntryColumns {
                 drops += usize::from(drop);
             }
         }
-        let m = flames_obs::metrics();
-        let [corr, split, partial, total] = tally;
-        if corr > 0 {
-            m.corroborations.add(corr);
-        }
-        if split > 0 {
-            m.splits.add(split);
-        }
-        if partial > 0 {
-            m.partial_conflicts.add(partial);
-        }
-        if total > 0 {
-            m.total_conflicts.add(total);
-        }
-        (dominated, drops)
+        (dominated, drops, tally)
     }
 }
 
-/// A borrowed view of one stored entry, materialized from the columns —
-/// what the combination enumerator hands to constraint evaluation.
-#[derive(Clone, Copy)]
-struct EntryRef<'a> {
-    value: FuzzyInterval,
-    env: &'a Env,
-    degree: f64,
-    measured: bool,
+/// Flushes coincidence tallies `[corroborations, splits, partial,
+/// total]` as one atomic add per kind that occurred.
+fn flush_tally(tally: [u64; 4]) {
+    let m = flames_obs::metrics();
+    let [corr, split, partial, total] = tally;
+    if corr > 0 {
+        m.corroborations.add(corr);
+    }
+    if split > 0 {
+        m.splits.add(split);
+    }
+    if partial > 0 {
+        m.partial_conflicts.add(partial);
+    }
+    if total > 0 {
+        m.total_conflicts.add(total);
+    }
 }
 
-/// The odometer at the heart of [`PropState::each_combo`]: enumerates
-/// index tuples over `lists` (last position varying fastest),
-/// materializing each row for `f`, capped at 64 combinations — the same
-/// first-64 prefix the original entry-cloning enumerator produced.
-fn combo_loop<'s>(
-    lists: &[&'s EntryColumns],
-    idx: &mut [usize],
-    row: &mut [EntryRef<'s>],
-    mut f: impl FnMut(&[EntryRef<'s>]),
-) {
-    const COMBO_CAP: usize = 64;
-    for _ in 0..COMBO_CAP {
-        f(row);
-        // Odometer increment, last position fastest.
-        let mut k = lists.len();
-        loop {
-            if k == 0 {
-                return;
-            }
-            k -= 1;
-            idx[k] += 1;
-            if idx[k] < lists[k].len() {
-                row[k] = lists[k].entry_ref(idx[k]);
-                break;
-            }
-            idx[k] = 0;
-            row[k] = lists[k].entry_ref(0);
-        }
-    }
+/// The set lanes of a [`flames_fuzzy::simd::M4::bits`] mask, in
+/// ascending lane order.
+fn set_lanes(mut bits: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let l = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            l
+        })
+    })
+}
+
+/// Rows one constraint direction derives per application at most: the
+/// first 64 source combinations, in enumeration order, the last source
+/// varying fastest.
+const COMBO_CAP: usize = 64;
+
+/// The vertex-method operation of one `Product` direction: `p = x·y`,
+/// or one of the quotients `x = p/y`, `y = p/x`.
+#[derive(Debug, Clone, Copy)]
+enum ProductOp {
+    Mul,
+    Div,
 }
 
 /// Fig. 4 classification of a coincidence.
@@ -1436,7 +1409,6 @@ impl PropState {
                 ref directions,
             } => {
                 for dir in directions {
-                    derived.clear();
                     self.combos_wide_linear(
                         bias,
                         dir,
@@ -1444,48 +1416,26 @@ impl PropState {
                         tnorm,
                         &mut derived,
                     );
-                    for (value, env, degree, measured) in derived.drain(..) {
-                        if self.insert(config, dir.target, value, env, degree, measured) {
-                            changed.push(dir.target.index());
-                        }
-                    }
+                    self.insert_derived(config, dir.target, &mut derived, changed);
                 }
             }
             CompiledRelation::Product { p, x, y } => {
                 // p = x · y, x = p / y and y = p / x.
-                self.derive_pairs(
-                    sched,
-                    config,
-                    ci,
-                    p,
-                    x,
-                    y,
-                    |a, b| a.mul(b).ok(),
-                    &mut derived,
-                    changed,
-                );
-                self.derive_pairs(
-                    sched,
-                    config,
-                    ci,
-                    x,
-                    p,
-                    y,
-                    |a, b| a.div(b).ok(),
-                    &mut derived,
-                    changed,
-                );
-                self.derive_pairs(
-                    sched,
-                    config,
-                    ci,
-                    y,
-                    p,
-                    x,
-                    |a, b| a.div(b).ok(),
-                    &mut derived,
-                    changed,
-                );
+                for (target, a, b, op) in [
+                    (p, x, y, ProductOp::Mul),
+                    (x, p, y, ProductOp::Div),
+                    (y, p, x, ProductOp::Div),
+                ] {
+                    self.combos_wide_product(
+                        op,
+                        a,
+                        b,
+                        &sched.constraint_envs[ci],
+                        tnorm,
+                        &mut derived,
+                    );
+                    self.insert_derived(config, target, &mut derived, changed);
+                }
             }
         }
         self.scratch_derived = derived;
@@ -1493,87 +1443,19 @@ impl PropState {
         changed.dedup();
     }
 
-    /// Derives `target` from every entry pair of `(a, b)` through `op`,
-    /// inserting the results under the constraint's cached base
-    /// environment.
-    #[allow(clippy::too_many_arguments)]
-    fn derive_pairs(
+    /// Inserts every derived row into `target`'s label, draining
+    /// `derived` and noting `target` in `changed` when its label moved.
+    fn insert_derived(
         &mut self,
-        sched: &CompiledSchedule,
         config: PropagatorConfig,
-        ci: usize,
         target: QuantityId,
-        a: QuantityId,
-        b: QuantityId,
-        op: impl Fn(&FuzzyInterval, &FuzzyInterval) -> Option<FuzzyInterval>,
         derived: &mut Vec<(FuzzyInterval, Env, f64, bool)>,
         changed: &mut Vec<usize>,
     ) {
-        let tnorm = config.tnorm;
-        derived.clear();
-        {
-            let base_env = &sched.constraint_envs[ci];
-            let out = &mut *derived;
-            self.each_combo(&[a, b], |row| {
-                if let Some(value) = op(&row[0].value, &row[1].value) {
-                    let mut env = base_env.clone();
-                    env.union_with(row[0].env);
-                    env.union_with(row[1].env);
-                    let degree = tnorm.combine(row[0].degree, row[1].degree);
-                    out.push((value, env, degree, row[0].measured || row[1].measured));
-                }
-            });
-        }
         for (value, env, degree, measured) in derived.drain(..) {
             if self.insert(config, target, value, env, degree, measured) {
                 changed.push(target.index());
             }
-        }
-    }
-
-    /// Invokes `f` on each cartesian combination of the current entries of
-    /// `qs`, materialized from the columns — no heap allocation for the
-    /// constraint arities the compiler produces. Combinations enumerate in
-    /// lexicographic order with the last quantity varying fastest, capped
-    /// at 64 rows (the same first-64 prefix the entry-cloning
-    /// implementation produced). With `qs` empty, `f` sees one empty row.
-    fn each_combo<'s>(&'s self, qs: &[QuantityId], mut f: impl FnMut(&[EntryRef<'s>])) {
-        /// Stack capacity for the per-position cursors; arities beyond
-        /// this (not produced by today's compiler) fall back to the heap.
-        const MAX_ARITY: usize = 16;
-        let arity = qs.len();
-        if arity == 0 {
-            f(&[]);
-            return;
-        }
-        if arity <= MAX_ARITY {
-            static EMPTY: EntryColumns = EntryColumns::EMPTY;
-            let mut lists = [&EMPTY; MAX_ARITY];
-            for (slot, q) in lists[..arity].iter_mut().zip(qs) {
-                let cols = &self.entries[q.index()];
-                if cols.is_empty() {
-                    return;
-                }
-                *slot = cols;
-            }
-            let mut idx = [0usize; MAX_ARITY];
-            let mut row = [lists[0].entry_ref(0); MAX_ARITY];
-            for k in 1..arity {
-                row[k] = lists[k].entry_ref(0);
-            }
-            combo_loop(&lists[..arity], &mut idx[..arity], &mut row[..arity], f);
-        } else {
-            let mut lists = Vec::with_capacity(arity);
-            for q in qs {
-                let cols = &self.entries[q.index()];
-                if cols.is_empty() {
-                    return;
-                }
-                lists.push(cols);
-            }
-            let mut idx = vec![0usize; arity];
-            let mut row: Vec<EntryRef<'s>> = lists.iter().map(|l| l.entry_ref(0)).collect();
-            combo_loop(&lists, &mut idx, &mut row, f);
         }
     }
 
@@ -1586,8 +1468,8 @@ impl PropState {
     /// [`flames_fuzzy::simd::scale4`] / [`flames_fuzzy::simd::add4`]
     /// four entries per step, with the scalar fold as the tail for the
     /// last 1–3 entries. The association order per row is the plain
-    /// [`PropState::each_combo`] fold's — `(prefix + vᵢ·coef_last)·(−1/coef)`
-    /// — so every emitted row is bit-identical to it, including the
+    /// scalar fold's — `(prefix + vᵢ·coef_last)·(−1/coef)` — so every
+    /// emitted row is bit-identical to it, including the
     /// 64-row enumeration cap cutting mid-stream (pinned by a unit
     /// test). A direction with no source quantity emits its one
     /// constant row.
@@ -1599,7 +1481,6 @@ impl PropState {
         tnorm: TNorm,
         out: &mut Vec<(FuzzyInterval, Env, f64, bool)>,
     ) {
-        const COMBO_CAP: usize = 64;
         let arity = dir.quantities.len();
         if arity == 0 {
             out.push((
@@ -1687,6 +1568,78 @@ impl PropState {
         }
     }
 
+    /// The 4-wide apply of one `Product` direction, `target = a ∘ b` over
+    /// every entry pair of `(a, b)` with `∘` the vertex-method product
+    /// or quotient: per `a` entry the splatted value, the environment
+    /// `base_env ∪ env_a`, degree and measurement flag are set up once,
+    /// then the `b` label streams through
+    /// [`flames_fuzzy::simd::mul4`] / [`flames_fuzzy::simd::div4`] four
+    /// entries per step, with the scalar operation as the tail for the
+    /// last 1–3 entries. A pair whose scalar operation fails (a divisor
+    /// spanning zero, an overflow) emits no row but still counts toward
+    /// the 64-row enumeration cap, and rows come out `a`-major — the
+    /// rows, order and cap of the plain scalar fold over every pair, bit
+    /// for bit (pinned by a unit test).
+    fn combos_wide_product(
+        &self,
+        op: ProductOp,
+        a: QuantityId,
+        b: QuantityId,
+        base_env: &Env,
+        tnorm: TNorm,
+        out: &mut Vec<(FuzzyInterval, Env, f64, bool)>,
+    ) {
+        let (la, lb) = (&self.entries[a.index()], &self.entries[b.index()]);
+        if lb.is_empty() {
+            return;
+        }
+        let mut rows_left = COMBO_CAP;
+        for ia in 0..la.len() {
+            let av = la.value(ia);
+            let a4 = Traps4::splat(&av);
+            let mut aenv = base_env.clone();
+            aenv.union_with(la.env(ia));
+            let (adeg, ameas) = (la.degree(ia), la.measured(ia));
+            let mut emit = |value: FuzzyInterval, j: usize| {
+                let mut env = aenv.clone();
+                env.union_with(lb.env(j));
+                out.push((
+                    value,
+                    env,
+                    tnorm.combine(adeg, lb.degree(j)),
+                    ameas || lb.measured(j),
+                ));
+            };
+            let take = lb.len().min(rows_left);
+            let mut j = 0usize;
+            while j + 4 <= take {
+                let bv = Traps4::load(&lb.m1, &lb.m2, &lb.alpha, &lb.beta, j);
+                let (r, ok) = match op {
+                    ProductOp::Mul => mul4(&a4, &bv),
+                    ProductOp::Div => div4(&a4, &bv),
+                };
+                for l in set_lanes(ok.bits()) {
+                    emit(r.lane(l), j + l);
+                }
+                j += 4;
+            }
+            for j in j..take {
+                let bv = lb.value(j);
+                let r = match op {
+                    ProductOp::Mul => av.mul(&bv),
+                    ProductOp::Div => av.div(&bv),
+                };
+                if let Ok(value) = r {
+                    emit(value, j);
+                }
+            }
+            rows_left -= take;
+            if rows_left == 0 {
+                return;
+            }
+        }
+    }
+
     /// Records a value for a quantity, running the Fig. 4 coincidence
     /// resolution against every held entry. Returns whether the label
     /// changed.
@@ -1700,7 +1653,7 @@ impl PropState {
         measured: bool,
     ) -> bool {
         // Environments already erased by a killing nogood derive nothing.
-        if self.atms.plausibility(&env) <= 0.0 {
+        if self.atms.is_killed(&env) {
             return false;
         }
         let incoming = ValueEntry {
@@ -1723,11 +1676,12 @@ impl PropState {
         // coincidences matter, so it skips both dominance directions.
         // It then reaches the cap check below with `drops == 0` and
         // `inc_width ≥ list.widest`, which returns `false`.
-        let (dominated, drops) = if list.admits_only_conflicts(inc_width, config) {
+        let (dominated, drops, tally) = if list.admits_only_conflicts(inc_width, config) {
             list.classify::<false>(q, &incoming, inc_width, config, &mut conflicts, &mut keep)
         } else {
             list.classify::<true>(q, &incoming, inc_width, config, &mut conflicts, &mut keep)
         };
+        flush_tally(tally);
         for (record, nogood_degree) in conflicts.drain(..) {
             self.atms.add_nogood(&record.env, nogood_degree);
             self.coincidences.push(record);
@@ -2247,8 +2201,71 @@ mod tests {
         assert_agenda_matches_reference(&ts.netlist, &network, &boards);
     }
 
+    /// A borrowed view of one stored entry, materialized from the
+    /// columns: a row of the scalar combination oracle.
+    #[derive(Clone, Copy)]
+    struct EntryRef<'a> {
+        value: FuzzyInterval,
+        env: &'a Env,
+        degree: f64,
+        measured: bool,
+    }
+
+    fn entry_ref(cols: &EntryColumns, i: usize) -> EntryRef<'_> {
+        EntryRef {
+            value: cols.value(i),
+            env: cols.env(i),
+            degree: cols.degree(i),
+            measured: cols.measured(i),
+        }
+    }
+
+    /// The odometer at the heart of [`each_combo`]: enumerates index
+    /// tuples over `lists` (last position varying fastest), materializing
+    /// each row for `f`, capped at 64 combinations.
+    fn combo_loop<'s>(
+        lists: &[&'s EntryColumns],
+        idx: &mut [usize],
+        row: &mut [EntryRef<'s>],
+        mut f: impl FnMut(&[EntryRef<'s>]),
+    ) {
+        for _ in 0..COMBO_CAP {
+            f(row);
+            // Odometer increment, last position fastest.
+            let mut k = lists.len();
+            loop {
+                if k == 0 {
+                    return;
+                }
+                k -= 1;
+                idx[k] += 1;
+                if idx[k] < lists[k].len() {
+                    row[k] = entry_ref(lists[k], idx[k]);
+                    break;
+                }
+                idx[k] = 0;
+                row[k] = entry_ref(lists[k], 0);
+            }
+        }
+    }
+
+    /// The scalar reference enumeration both wide applies reproduce:
+    /// `f` sees each cartesian combination of the current entries of
+    /// `qs` in lexicographic order, the last quantity varying fastest,
+    /// capped at 64 rows; nothing when a list is empty, and one empty
+    /// row when `qs` is.
+    fn each_combo<'s>(state: &'s PropState, qs: &[QuantityId], f: impl FnMut(&[EntryRef<'s>])) {
+        let lists: Vec<&EntryColumns> = qs.iter().map(|q| &state.entries[q.index()]).collect();
+        if lists.iter().any(|l| l.is_empty()) {
+            return;
+        }
+        let mut idx = vec![0usize; lists.len()];
+        let mut row: Vec<EntryRef<'s>> = lists.iter().map(|l| entry_ref(l, 0)).collect();
+        combo_loop(&lists, &mut idx, &mut row, f);
+    }
+
     /// The scalar definition of one Linear direction's rows: a plain
-    /// fold over every [`PropState::each_combo`] row —
+    /// fold over every [`each_combo`] row —
     /// `target = −(bias + Σ coef_j · v_j) / coef` — the reference
     /// [`PropState::combos_wide_linear`] must reproduce bit for bit.
     fn linear_rows_by_fold(
@@ -2259,7 +2276,7 @@ mod tests {
         tnorm: TNorm,
     ) -> Vec<(FuzzyInterval, Env, f64, bool)> {
         let mut out = Vec::new();
-        state.each_combo(&dir.quantities, |row| {
+        each_combo(state, &dir.quantities, |row| {
             let mut sum = FuzzyInterval::crisp(bias);
             let mut env = base_env.clone();
             let mut degree = 1.0;
@@ -2373,6 +2390,116 @@ mod tests {
             }
         }
         assert!(rows_seen > 1_000);
+    }
+
+    /// The scalar definition of one Product direction's rows: the
+    /// vertex-method product or quotient of every [`each_combo`] pair,
+    /// `Err` pairs emitting nothing — the reference
+    /// [`PropState::combos_wide_product`] must reproduce bit for bit.
+    fn product_rows_by_fold(
+        state: &PropState,
+        op: ProductOp,
+        a: QuantityId,
+        b: QuantityId,
+        base_env: &Env,
+        tnorm: TNorm,
+    ) -> Vec<(FuzzyInterval, Env, f64, bool)> {
+        let mut out = Vec::new();
+        each_combo(state, &[a, b], |row| {
+            let r = match op {
+                ProductOp::Mul => row[0].value.mul(&row[1].value),
+                ProductOp::Div => row[0].value.div(&row[1].value),
+            };
+            if let Ok(value) = r {
+                let mut env = base_env.clone();
+                env.union_with(row[0].env);
+                env.union_with(row[1].env);
+                let degree = tnorm.combine(row[0].degree, row[1].degree);
+                out.push((value, env, degree, row[0].measured || row[1].measured));
+            }
+        });
+        out
+    }
+
+    /// The 4-wide Product apply emits exactly the rows of the scalar
+    /// fold, in the same order, for every pair of label lengths up to 8
+    /// and up to 16: full 4-groups, 1–3-entry tails, empty labels, both
+    /// operations, both t-norms, `Err` pairs (divisors spanning zero,
+    /// overflowing magnitudes) inside full groups, and the 64-row
+    /// `COMBO_CAP` cutting inside an `a` row, in a tail and where a
+    /// full group would have started (16 × 11 stops at entry 9 of the
+    /// sixth row).
+    #[test]
+    fn wide_product_rows_match_the_scalar_fold() {
+        let (nl, network) = divider(0.05);
+        let prop = Propagator::new(&nl, &network, PropagatorConfig::default());
+        let mut seed = 0x9A1E_u64;
+        let mut next = move || {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (qa, qb) = (QuantityId::from_raw(0), QuantityId::from_raw(1));
+        let (mut rows_seen, mut errs_mid_group) = (0, 0);
+        for max_entries in [8, 16] {
+            for la in 0..=max_entries {
+                for lb in 0..=max_entries {
+                    let mut state = prop.snapshot_state();
+                    for (q, len) in [(qa, la), (qb, lb)] {
+                        let cols = &mut state.entries[q.index()];
+                        cols.clear();
+                        for _ in 0..len {
+                            // Mixed signs, supports around zero, and one
+                            // entry in eight at an overflowing magnitude.
+                            let scale = if next() < 0.125 { 1e200 } else { 1.0 };
+                            let m1 = (next() * 8.0 - 4.0) * scale;
+                            let value = FuzzyInterval::new(
+                                m1,
+                                m1 + next() * 2.0 * scale,
+                                next() * scale,
+                                next() * scale,
+                            )
+                            .expect("valid trapezoid");
+                            cols.push(ValueEntry {
+                                value,
+                                env: Env::from_ids((0..3).filter(|_| next() < 0.5).map(|k| k * 2)),
+                                degree: 0.3 + 0.7 * next(),
+                                measured: next() < 0.3,
+                            });
+                        }
+                    }
+                    for op in [ProductOp::Mul, ProductOp::Div] {
+                        for tnorm in [TNorm::Min, TNorm::Product] {
+                            let base_env = Env::from_ids([1, 5]);
+                            let mut wide = Vec::new();
+                            state.combos_wide_product(op, qa, qb, &base_env, tnorm, &mut wide);
+                            let fold = product_rows_by_fold(&state, op, qa, qb, &base_env, tnorm);
+                            assert_eq!(
+                                row_bits(&wide),
+                                row_bits(&fold),
+                                "{op:?} {la} × {lb}: rows diverge"
+                            );
+                            rows_seen += wide.len();
+                        }
+                        let cols = &state.entries;
+                        for i in 0..la {
+                            for j in (0..lb).filter(|j| j % 4 == 1 && (j | 3) < lb) {
+                                let (x, y) = (cols[0].value(i), cols[1].value(j));
+                                let r = match op {
+                                    ProductOp::Mul => x.mul(&y),
+                                    ProductOp::Div => x.div(&y),
+                                };
+                                errs_mid_group += usize::from(r.is_err());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(rows_seen > 10_000, "{rows_seen} rows");
+        assert!(errs_mid_group > 100, "{errs_mid_group} Err lanes mid-group");
     }
 
     #[test]
@@ -2620,22 +2747,7 @@ mod tests {
                 }
             }
         }
-        {
-            let m = flames_obs::metrics();
-            let [corr, split, partial, total] = tally;
-            if corr > 0 {
-                m.corroborations.add(corr);
-            }
-            if split > 0 {
-                m.splits.add(split);
-            }
-            if partial > 0 {
-                m.partial_conflicts.add(partial);
-            }
-            if total > 0 {
-                m.total_conflicts.add(total);
-            }
-        }
+        flush_tally(tally);
         for (record, nogood_degree) in conflicts {
             let env = record.env.clone();
             state.coincidences.push(record);
@@ -2973,5 +3085,107 @@ mod tests {
                 assert_eq!((route, changed), (want_route, want_changed), "{at}");
             }
         }
+    }
+
+    /// One [`EntryColumns::classify`] call on its own: the verdict, the
+    /// tallies, the conflicts and the keep flags.
+    type Classified = (
+        bool,
+        usize,
+        [u64; 4],
+        Vec<(CoincidenceRecord, f64)>,
+        Vec<bool>,
+    );
+
+    fn classified<const DOMINANCE: bool>(
+        cols: &EntryColumns,
+        incoming: &ValueEntry,
+        config: PropagatorConfig,
+    ) -> Classified {
+        let (mut conflicts, mut keep) = (Vec::new(), Vec::new());
+        let (dominated, drops, tally) = cols.classify::<DOMINANCE>(
+            QuantityId::from_raw(0),
+            incoming,
+            incoming.value.support_width(),
+            config,
+            &mut conflicts,
+            &mut keep,
+        );
+        (dominated, drops, tally, conflicts, keep)
+    }
+
+    /// The 4-wide group loop of [`EntryColumns::classify`] against its
+    /// scalar tail: a label of 4–13 entries must give the tallies, the
+    /// conflicts (in order), the dominance verdict, the drop count and
+    /// the keep flags of classifying each entry as a 1-entry label, which
+    /// only the scalar tail sees — with and without the dominance pass.
+    #[test]
+    fn grouped_classification_matches_the_scalar_tail() {
+        let config = PropagatorConfig::default();
+        let mut tallies = [0u64; 4];
+        let (mut dominated_seen, mut drops_seen) = (0, 0);
+        for seed in 0..400u64 {
+            let mut rng = Rng(seed ^ 0xC1A5_51F1);
+            let mut entry = || {
+                let (_, value, env, degree, measured) = random_insert(&mut rng);
+                ValueEntry {
+                    value,
+                    env,
+                    degree,
+                    measured,
+                }
+            };
+            let incoming = entry();
+            let mut label = EntryColumns::default();
+            let mut singles = Vec::new();
+            for _ in 0..4 + seed % 10 {
+                let e = entry();
+                let mut single = EntryColumns::default();
+                single.push(e.clone());
+                singles.push(single);
+                label.push(e);
+            }
+            let fold = |parts: Vec<Classified>| {
+                parts.into_iter().fold(
+                    (false, 0, [0u64; 4], Vec::new(), Vec::new()),
+                    |mut acc, (dominated, drops, tally, conflicts, keep)| {
+                        acc.0 |= dominated;
+                        acc.1 += drops;
+                        for (a, t) in acc.2.iter_mut().zip(tally) {
+                            *a += t;
+                        }
+                        acc.3.extend(conflicts);
+                        acc.4.extend(keep);
+                        acc
+                    },
+                )
+            };
+            let grouped = classified::<true>(&label, &incoming, config);
+            let tail = fold(
+                singles
+                    .iter()
+                    .map(|c| classified::<true>(c, &incoming, config))
+                    .collect(),
+            );
+            assert_eq!(format!("{grouped:?}"), format!("{tail:?}"), "seed {seed}");
+            dominated_seen += usize::from(tail.0);
+            drops_seen += usize::from(tail.1 > 0);
+            let grouped = classified::<false>(&label, &incoming, config);
+            let tail = fold(
+                singles
+                    .iter()
+                    .map(|c| classified::<false>(c, &incoming, config))
+                    .collect(),
+            );
+            assert_eq!(format!("{grouped:?}"), format!("{tail:?}"), "seed {seed}");
+            for (t, g) in tallies.iter_mut().zip(grouped.2) {
+                *t += g;
+            }
+        }
+        assert!(tallies.iter().all(|&t| t >= 50), "{tallies:?}");
+        assert!(
+            dominated_seen >= 20 && drops_seen >= 20,
+            "{dominated_seen} dominated, {drops_seen} with drops"
+        );
     }
 }

@@ -3,19 +3,22 @@
 //! This crate forbids `unsafe`, so instead of raw `core::arch`
 //! intrinsics the wide paths are built from [`W4`], a `[f64; 4]` value
 //! type whose every operation is four independent, identical scalar
-//! lane expressions. LLVM's SLP vectorizer lowers these to packed
-//! SSE2/AVX instructions; because no operation mixes lanes, a value
-//! computed in lane `i` of a 4-wide call is **bit-for-bit** the value
-//! the same code computes for that pair alone (e.g. splatted across all
-//! four lanes). That lane independence is what lets a short run's tail
-//! (fewer than four entries, evaluated one splatted lane at a time)
-//! reproduce the grouped results exactly — both run the same per-lane
-//! expression DAG.
+//! lane expressions. LLVM's SLP vectorizer can lower these to packed
+//! SSE2/AVX instructions — provided callers read the resulting masks
+//! through [`M4::bits`] rather than branching per lane inside a group
+//! loop, which sends it back to scalar compares. Because no operation
+//! mixes lanes, a value computed in lane `i` of a 4-wide call is
+//! **bit-for-bit** the value the same code computes for that pair
+//! alone (e.g. splatted across all four lanes). That lane independence
+//! is what lets a short run's tail (fewer than four entries, evaluated
+//! one splatted lane at a time) reproduce the grouped results exactly —
+//! both run the same per-lane expression DAG.
 //!
 //! The kernels are the ones the propagation engine runs per label
 //! entry: coincidence classification ([`included4`], [`possibility4`],
 //! [`width4`], [`ne4`]) and the constraint-apply arithmetic ([`add4`],
-//! [`scale4`]). Each is held **bit for bit** to the [`FuzzyInterval`]
+//! [`scale4`] for Linear relations, [`mul4`] and [`div4`] for Product
+//! relations). Each is held **bit for bit** to the [`FuzzyInterval`]
 //! method it mirrors by the differential suite
 //! (`crates/fuzzy/tests/simd_diff.rs`).
 
@@ -161,6 +164,41 @@ impl W4 {
         ])
     }
 
+    /// Lane-wise [`f64::min`] (NaN-ignoring, as the scalar method).
+    #[must_use]
+    #[inline(always)]
+    pub fn min(self, o: Self) -> Self {
+        let (a, b) = (self.0, o.0);
+        Self([
+            a[0].min(b[0]),
+            a[1].min(b[1]),
+            a[2].min(b[2]),
+            a[3].min(b[3]),
+        ])
+    }
+
+    /// Lane-wise [`f64::max`] (NaN-ignoring, as the scalar method).
+    #[must_use]
+    #[inline(always)]
+    pub fn max(self, o: Self) -> Self {
+        let (a, b) = (self.0, o.0);
+        Self([
+            a[0].max(b[0]),
+            a[1].max(b[1]),
+            a[2].max(b[2]),
+            a[3].max(b[3]),
+        ])
+    }
+
+    /// Lane-wise [`f64::is_finite`].
+    #[must_use]
+    #[inline(always)]
+    pub fn is_finite(self) -> M4 {
+        let m = |a: f64| u64::from(a.is_finite()).wrapping_neg();
+        let a = self.0;
+        M4([m(a[0]), m(a[1]), m(a[2]), m(a[3])])
+    }
+
     /// Lane-wise `x.clamp(0.0, 1.0)` with exactly `f64::clamp`'s
     /// comparison structure (below-min first, then above-max).
     #[must_use]
@@ -219,6 +257,19 @@ impl M4 {
     #[inline(always)]
     pub fn lane(self, i: usize) -> bool {
         self.0[i] != 0
+    }
+
+    /// The four lanes as a bitmask, lane `i` in bit `i` (the packed
+    /// `movmskpd` form). Kernels consume masks through this — counting
+    /// set bits, or walking them in ascending lane order — rather than
+    /// branching on [`M4::lane`] inside a group loop, which makes LLVM
+    /// fall back to scalar compares for the whole group.
+    #[must_use]
+    #[inline(always)]
+    pub fn bits(self) -> u32 {
+        let a = self.0;
+        let b = |i: usize| ((a[i] >> 63) as u32) << i;
+        b(0) | b(1) | b(2) | b(3)
     }
 }
 
@@ -376,4 +427,93 @@ pub fn ne4(a: &Traps4, b: &Traps4) -> M4 {
         .and(a.alpha.eq_mask(b.alpha))
         .and(a.beta.eq_mask(b.beta))
         .not()
+}
+
+/// Lane-wise `(min, max)` of four vertex values, folded in the order of
+/// the scalar `minmax_products` / `minmax_quotients` loops.
+#[inline(always)]
+fn minmax4(v: [W4; 4]) -> (W4, W4) {
+    let (mut lo, mut hi) = (v[0], v[0]);
+    for &x in &v[1..] {
+        lo = lo.min(x);
+        hi = hi.max(x);
+    }
+    (lo, hi)
+}
+
+/// Lane-wise `trapezoid_from_levels`: the `max(0.0)`-guarded spreads,
+/// and the [`FuzzyInterval::new`] validation (all four fields finite,
+/// `m1 ≤ m2`, spreads non-negative) as the `Ok` mask.
+#[inline(always)]
+fn from_levels4(core_lo: W4, core_hi: W4, supp_lo: W4, supp_hi: W4) -> (Traps4, M4) {
+    let zero = W4::splat(0.0);
+    let alpha = core_lo.sub(supp_lo).max(zero);
+    let beta = supp_hi.sub(core_hi).max(zero);
+    let ok = core_lo
+        .is_finite()
+        .and(core_hi.is_finite())
+        .and(alpha.is_finite())
+        .and(beta.is_finite())
+        .and(core_lo.gt(core_hi).not())
+        .and(alpha.lt(zero).not())
+        .and(beta.lt(zero).not());
+    let t = Traps4 {
+        m1: core_lo,
+        m2: core_hi,
+        alpha,
+        beta,
+    };
+    (t, ok)
+}
+
+/// Lane-wise [`FuzzyInterval::mul`] by the vertex method: the four
+/// core and four support products per lane, folded with `f64::min` /
+/// `f64::max` in the scalar order. Returns the result columns and the
+/// lanes where the scalar method returns `Ok`; the columns of the
+/// other lanes are unspecified and must not be read.
+#[must_use]
+#[inline(always)]
+pub fn mul4(a: &Traps4, b: &Traps4) -> (Traps4, M4) {
+    let (core_lo, core_hi) = minmax4([
+        a.m1.mul(b.m1),
+        a.m1.mul(b.m2),
+        a.m2.mul(b.m1),
+        a.m2.mul(b.m2),
+    ]);
+    let (a_lo, a_hi) = (a.m1.sub(a.alpha), a.m2.add(a.beta));
+    let (b_lo, b_hi) = (b.m1.sub(b.alpha), b.m2.add(b.beta));
+    let (supp_lo, supp_hi) = minmax4([
+        a_lo.mul(b_lo),
+        a_lo.mul(b_hi),
+        a_hi.mul(b_lo),
+        a_hi.mul(b_hi),
+    ]);
+    from_levels4(core_lo, core_hi, supp_lo, supp_hi)
+}
+
+/// Lane-wise [`FuzzyInterval::div`] (`a ⊘ b`) by the vertex method, with
+/// `mul4`'s contract. A lane whose divisor support touches or spans
+/// zero — the scalar method's `DivisorSpansZero` error — is cleared
+/// from the `Ok` mask; its quotients are computed anyway and discarded.
+#[must_use]
+#[inline(always)]
+pub fn div4(a: &Traps4, b: &Traps4) -> (Traps4, M4) {
+    let zero = W4::splat(0.0);
+    let (b_lo, b_hi) = (b.m1.sub(b.alpha), b.m2.add(b.beta));
+    let spans_zero = b_lo.le(zero).and(b_hi.ge(zero));
+    let (core_lo, core_hi) = minmax4([
+        a.m1.div(b.m1),
+        a.m1.div(b.m2),
+        a.m2.div(b.m1),
+        a.m2.div(b.m2),
+    ]);
+    let (a_lo, a_hi) = (a.m1.sub(a.alpha), a.m2.add(a.beta));
+    let (supp_lo, supp_hi) = minmax4([
+        a_lo.div(b_lo),
+        a_lo.div(b_hi),
+        a_hi.div(b_lo),
+        a_hi.div(b_hi),
+    ]);
+    let (t, ok) = from_levels4(core_lo, core_hi, supp_lo, supp_hi);
+    (t, ok.and(spans_zero.not()))
 }

@@ -1,7 +1,8 @@
 //! Differential suite for the 4-wide kernels against their scalar
 //! references, which live on as the test oracles: the coincidence and
 //! constraint-apply kernels the propagation engine runs (`included4`,
-//! `possibility4`, `width4`, `ne4`, `add4`, `scale4`) against the
+//! `possibility4`, `width4`, `ne4`, `add4`, `scale4`, `mul4`, `div4`)
+//! against the
 //! [`FuzzyInterval`] methods they mirror, **bit for bit**, on a
 //! corner-mix corpus (random shapes, zero-spread flanks, crisp
 //! intervals and points, shifted near-copies) — grouped lanes and the
@@ -10,7 +11,9 @@
 //! Always on (tier-1): the corpus here is a few thousand pairs, small
 //! enough for every `cargo test` run.
 
-use flames_fuzzy::simd::{add4, included4, ne4, possibility4, scale4, width4, Traps4};
+use flames_fuzzy::simd::{
+    add4, div4, included4, mul4, ne4, possibility4, scale4, width4, Traps4, M4, W4,
+};
 use flames_fuzzy::FuzzyInterval;
 
 /// SplitMix64, same mixer as the bench crate (tests cannot depend on it).
@@ -280,4 +283,110 @@ fn scale4_matches_scaled_for_both_signs() {
             );
         }
     }
+}
+
+#[test]
+fn m4_bits_puts_lane_i_in_bit_i() {
+    for pattern in 0u32..16 {
+        let lanes: [u64; 4] =
+            std::array::from_fn(|i| if pattern & (1 << i) != 0 { u64::MAX } else { 0 });
+        let m = M4(lanes);
+        assert_eq!(m.bits(), pattern);
+        for i in 0..4 {
+            assert_eq!(m.bits() & (1 << i) != 0, m.lane(i), "pattern {pattern:04b}");
+        }
+    }
+    // Straight from a comparison: lanes 0 and 2 hold the smaller value.
+    let m = W4([0.0, 5.0, 1.0, 7.0]).lt(W4::splat(2.0));
+    assert_eq!(m.bits(), 0b0101);
+    assert_eq!(m.not().bits(), 0b1010);
+}
+
+/// The Product operands: the corner corpus (mixed signs, crisp points
+/// and intervals) plus every pairing of a set of edge operands — signed
+/// zeros, supports that touch or span zero, and magnitudes whose
+/// products or quotients overflow to ±∞ — shuffled so that `Err` lanes
+/// land inside full groups.
+fn product_corpora() -> Vec<(Vec<FuzzyInterval>, Vec<FuzzyInterval>)> {
+    let t = |m1: f64, m2: f64, a: f64, b: f64| FuzzyInterval::new(m1, m2, a, b).unwrap();
+    let edges = [
+        FuzzyInterval::crisp(0.0),
+        FuzzyInterval::crisp(-0.0),
+        t(-0.0, 0.0, 0.0, 0.0),
+        t(1.0, 2.0, 1.0, 0.0),
+        t(-2.0, -1.0, 0.0, 1.0),
+        t(-1.0, 1.0, 0.5, 0.5),
+        t(0.5, 1.0, 0.25, 0.25),
+        t(-3.0, -2.0, 0.5, 0.5),
+        FuzzyInterval::crisp(-2.0),
+        t(1e200, 2e200, 1e199, 1e199),
+        t(-3e200, -1e200, 0.0, 1e199),
+        FuzzyInterval::crisp(1e-300),
+        FuzzyInterval::crisp(-1e-300),
+        // A finite core under a support that overflows on one side
+        // only: one spread turns infinite.
+        t(1.0, 1.0, 1e300, 0.0),
+        t(1.0, 1.0, 0.0, 1e300),
+        FuzzyInterval::crisp(1e10),
+    ];
+    let mut pairs: Vec<(FuzzyInterval, FuzzyInterval)> = edges
+        .iter()
+        .flat_map(|&a| edges.iter().map(move |&b| (a, b)))
+        .collect();
+    let mut r = Rng(0x0DD5_2026);
+    for i in (1..pairs.len()).rev() {
+        pairs.swap(i, r.below(i as u64 + 1) as usize);
+    }
+    let mut corpora = kernel_corpora();
+    corpora.push(pairs.into_iter().unzip());
+    corpora
+}
+
+/// Holds a wide Product kernel to its scalar method on every lane: the
+/// same `Ok` verdict, and the same bits on every `Ok` lane. Returns the
+/// number of `Err` lanes seen.
+fn assert_product_kernel(
+    name: &str,
+    wide: fn(&Traps4, &Traps4) -> (Traps4, M4),
+    scalar: fn(&FuzzyInterval, &FuzzyInterval) -> flames_fuzzy::Result<FuzzyInterval>,
+) -> usize {
+    let mut errs = 0;
+    for (vms, vns) in product_corpora() {
+        for l in lanes(&vms, &vns) {
+            let (vm, vn) = (&vms[l.pair], &vns[l.pair]);
+            let (r, ok) = wide(&l.a, &l.b);
+            let want = scalar(vm, vn);
+            assert_eq!(
+                ok.lane(l.lane),
+                want.is_ok(),
+                "{name} pair {}: {vm:?}, {vn:?} -> {want:?}",
+                l.pair
+            );
+            match want {
+                Ok(v) => assert_eq!(
+                    bits(&r.lane(l.lane)),
+                    bits(&v),
+                    "{name} pair {}: {vm:?}, {vn:?}",
+                    l.pair
+                ),
+                Err(_) => errs += 1,
+            }
+        }
+    }
+    errs
+}
+
+#[test]
+fn mul4_matches_mul() {
+    let errs = assert_product_kernel("mul4", mul4, FuzzyInterval::mul);
+    assert!(errs > 0, "overflowing products must give Err lanes");
+}
+
+#[test]
+fn div4_matches_div() {
+    let errs = assert_product_kernel("div4", div4, FuzzyInterval::div);
+    assert!(
+        errs > 100,
+        "zero-spanning and overflowing divisors must give Err lanes"
+    );
 }
