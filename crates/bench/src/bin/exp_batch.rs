@@ -9,13 +9,15 @@
 //!   assumption vocabulary, and every environment per session;
 //! * **warm pool, 1 thread** — a [`flames_core::SessionPool`] recycling
 //!   reset sessions, so steady-state boards pay no rebuild;
-//! * **N threads** — [`flames_core::diagnose_batch_lanes`] at lane
-//!   width 1 over `std::thread::scope` workers, one pool per worker.
+//! * **N threads** — [`flames_core::diagnose_batch_lanes`] over
+//!   `std::thread::scope` workers, one pool per worker.
 //!
 //! Before any timing, the gate asserts the three paths produce
 //! byte-identical reports (warm/batch determinism is the refactor's core
-//! invariant). Writes `BENCH_batch.json` in the current directory and
-//! exits non-zero if warm-pool throughput fails the ≥ 1.5× gate.
+//! invariant). The gated warm-versus-cold ratio is timed with
+//! [`Harness::bench_pair`] (interleaved rounds). Writes
+//! `BENCH_batch.json` in the current directory and exits non-zero if
+//! warm-pool throughput fails the ≥ 1.5× gate.
 
 use flames_bench::harness::Harness;
 use flames_bench::rng::SplitMix64;
@@ -146,7 +148,7 @@ fn main() {
         assert_eq!(
             format!(
                 "{:?}",
-                diagnose_batch_lanes(&diagnoser, &boards, t, 1).expect("batch runs")
+                diagnose_batch_lanes(&diagnoser, &boards, t).expect("batch runs")
             ),
             reference,
             "{t}-thread batch must be byte-identical to sequential"
@@ -156,26 +158,33 @@ fn main() {
 
     // ----- timing ----------------------------------------------------
     let h = Harness::new("exp_batch").with_budget(Duration::from_millis(500));
+    // Cold and warm are timed in interleaved rounds, so host drift
+    // between two separate timing windows cannot decide the gated
+    // ratio. The pool persists across iterations: steady-state warm
+    // serving.
+    let mut pool = SessionPool::new(&diagnoser);
+    pool.warm(1);
+    let pair = h.bench_pair(
+        "cold_1_thread",
+        "warm_pool_1_thread",
+        || black_box(run_cold(&diagnoser, &boards)),
+        || black_box(run_warm(&mut pool, &boards)),
+    );
     let cold = Row {
         name: "cold_1_thread",
         threads: 1,
-        ns_per_batch: h.bench("cold_1_thread", || black_box(run_cold(&diagnoser, &boards))),
+        ns_per_batch: pair.a_ns,
     };
-    // The pool persists across iterations: steady-state warm serving.
-    let mut pool = SessionPool::new(&diagnoser);
-    pool.warm(1);
     let warm = Row {
         name: "warm_pool_1_thread",
         threads: 1,
-        ns_per_batch: h.bench("warm_pool_1_thread", || {
-            black_box(run_warm(&mut pool, &boards))
-        }),
+        ns_per_batch: pair.b_ns,
     };
     let batch = Row {
         name: "batch_n_threads",
         threads,
         ns_per_batch: h.bench("batch_n_threads", || {
-            black_box(diagnose_batch_lanes(&diagnoser, &boards, threads, 1).expect("batch runs"))
+            black_box(diagnose_batch_lanes(&diagnoser, &boards, threads).expect("batch runs"))
         }),
     };
 
@@ -198,7 +207,7 @@ fn main() {
             )
         })
         .collect();
-    let warm_speedup = rows[1].boards_per_sec() / rows[0].boards_per_sec();
+    let warm_speedup = pair.a_over_b;
     let parallel_scaling = rows[2].boards_per_sec() / rows[1].boards_per_sec();
 
     // Counter deltas over one untimed warm-pool pass of the fleet — the

@@ -193,7 +193,7 @@ fn main() {
     let stream: Vec<Board> = mode_stream.iter().map(|&m| modes[m].clone()).collect();
     let healthy = mode_stream.iter().filter(|&&m| m == 0).count();
 
-    let engine = diagnose_batch_lanes(&diagnoser, &stream, 1, 64).expect("engine reference");
+    let engine = diagnose_batch_lanes(&diagnoser, &stream, 1).expect("engine reference");
     let frozen = CacheConfig {
         learn: false,
         ..CacheConfig::default()
@@ -274,7 +274,7 @@ fn main() {
     let warm_pair = h.bench_pair(
         "model_only",
         "rule_first_warm",
-        || diagnose_batch_lanes(&diagnoser, &stream, 1, 64).expect("engine"),
+        || diagnose_batch_lanes(&diagnoser, &stream, 1).expect("engine"),
         || {
             diagnose_batch_lanes_cached(&diagnoser, &store, &frozen, &stream, 1, 64)
                 .expect("warm cached")
@@ -283,7 +283,7 @@ fn main() {
     let cold_pair = h.bench_pair(
         "model_only",
         "rule_first_cold",
-        || diagnose_batch_lanes(&diagnoser, &stream, 1, 64).expect("engine"),
+        || diagnose_batch_lanes(&diagnoser, &stream, 1).expect("engine"),
         || {
             diagnose_batch_lanes_cached(&diagnoser, &empty, &frozen, &stream, 1, 64)
                 .expect("cold cached")

@@ -560,41 +560,22 @@ impl<'d> Session<'d> {
         Ok(())
     }
 
-    /// Runs propagation to quiescence — a one-session
-    /// [`Session::propagate_lane`]; returns the number of constraint
-    /// applications.
+    /// Runs propagation to quiescence ([`Propagator::run`]) and records
+    /// the wave; returns the number of constraint applications.
     pub fn propagate(&mut self) -> usize {
-        Self::propagate_lane(&mut [self])[0]
+        let steps = self.prop.run();
+        self.waves.push(crate::trace::WaveRecord {
+            steps,
+            coincidences_total: self.prop.coincidences().len(),
+            nogoods_total: self.prop.atms().nogoods().len(),
+        });
+        steps
     }
 
-    /// Propagates a *lane* of sessions over one shared compiled model:
-    /// a single schedule traversal drives every board to quiescence
-    /// ([`Propagator::run_lane`]), producing per-board state
-    /// bit-identical to calling [`Session::propagate`] on each session
-    /// alone. A lane of two or more sessions must come from
-    /// [`Diagnoser::session`] / [`SessionPool`] over the same diagnoser
-    /// (shared schedule).
-    ///
-    /// Returns the constraint application count of each session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane exceeds 64 sessions or mixes compiled models
-    /// (see [`Propagator::run_lane`]).
+    /// Propagates each session in turn with [`Session::propagate`];
+    /// returns each session's constraint application count.
     pub fn propagate_lane(sessions: &mut [&mut Session<'d>]) -> Vec<usize> {
-        let steps = {
-            let mut props: Vec<&mut Propagator<'d>> =
-                sessions.iter_mut().map(|s| &mut s.prop).collect();
-            Propagator::run_lane(&mut props)
-        };
-        for (s, &n) in sessions.iter_mut().zip(&steps) {
-            s.waves.push(crate::trace::WaveRecord {
-                steps: n,
-                coincidences_total: s.prop.coincidences().len(),
-                nogoods_total: s.prop.atms().nogoods().len(),
-            });
-        }
-        steps
+        sessions.iter_mut().map(|s| s.propagate()).collect()
     }
 
     /// The per-wave propagation records accumulated since the session
@@ -1034,16 +1015,13 @@ pub type Board = Vec<(usize, FuzzyInterval)>;
 /// Diagnoses a batch of boards against one shared [`CompiledModel`],
 /// spreading the boards over `threads` workers (`std::thread::scope` —
 /// no external runtime). Each worker runs its own [`SessionPool`], so
-/// after its first board it serves from warm sessions, and drives its
-/// boards in lanes of `lane_width` sessions (clamped to `1..=64`): one
-/// schedule traversal per wave is amortised over the whole lane
-/// ([`Propagator::run_lane`]). Width 1 propagates each board alone.
+/// after its first board it serves from one warm session, and
+/// propagates each board alone.
 ///
 /// Boards are split into contiguous chunks and results are written by
-/// board index, and the lane runner keeps each board's own constraint
-/// order, so the output order — and, because a warm session is
+/// board index, so the output order — and, because a warm session is
 /// indistinguishable from a fresh one, every report byte — is identical
-/// for any thread count and lane width.
+/// for any thread count.
 ///
 /// # Errors
 ///
@@ -1078,7 +1056,7 @@ pub type Board = Vec<(usize, FuzzyInterval)>;
 ///     vec![(0, FuzzyInterval::crisp(5.0).widened(0.05)?)],
 ///     vec![(0, FuzzyInterval::crisp(6.2).widened(0.05)?)],
 /// ];
-/// let reports = diagnose_batch_lanes(&diagnoser, &boards, 2, 64)?;
+/// let reports = diagnose_batch_lanes(&diagnoser, &boards, 2)?;
 /// assert!(reports[0].candidates.is_empty());
 /// assert!(!reports[1].candidates.is_empty());
 /// # Ok(())
@@ -1088,81 +1066,49 @@ pub fn diagnose_batch_lanes(
     diagnoser: &Diagnoser,
     boards: &[Board],
     threads: usize,
-    lane_width: usize,
 ) -> Result<Vec<Report>> {
-    fan_out_lanes(diagnoser, boards, threads, lane_width, diagnose_lane_into)
-}
-
-/// Runs `lane` over `items` in lanes of `lane_width` (clamped to
-/// `1..=64`) on `threads` scoped workers, each over contiguous chunks
-/// with a [`SessionPool`] of its own; results come back in item order.
-/// The one fan-out behind every batch driver.
-pub(crate) fn fan_out_lanes<'d, T: Sync, R: Send>(
-    diagnoser: &'d Diagnoser,
-    items: &[T],
-    threads: usize,
-    lane_width: usize,
-    lane: impl Fn(&mut SessionPool<'d>, &[T], &mut [Option<R>]) -> Result<()> + Sync,
-) -> Result<Vec<R>> {
-    let lane_width = lane_width.clamp(1, 64);
-    let threads = threads.max(1).min(items.len().max(1));
-    let mut results: Vec<Option<R>> = Vec::new();
-    results.resize_with(items.len(), || None);
-    let worker = |batch: &[T], out: &mut [Option<R>]| -> Result<()> {
-        let mut pool = SessionPool::new(diagnoser);
-        for (part, slots) in batch.chunks(lane_width).zip(out.chunks_mut(lane_width)) {
-            lane(&mut pool, part, slots)?;
-        }
-        Ok(())
-    };
-    if threads <= 1 {
-        worker(items, &mut results)?;
-    } else {
-        let chunk = items.len().div_ceil(threads);
-        std::thread::scope(|scope| -> Result<()> {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .zip(results.chunks_mut(chunk))
-                .map(|(batch, out)| scope.spawn(|| worker(batch, out)))
-                .collect();
-            for handle in handles {
-                handle.join().expect("batch worker panicked")?;
-            }
-            Ok(())
-        })?;
-    }
-    Ok(results
-        .into_iter()
-        .map(|r| r.expect("every item served"))
-        .collect())
-}
-
-/// Diagnoses one lane of boards on pooled sessions: measure every
-/// board, propagate the lane jointly, report each board.
-fn diagnose_lane_into<'d>(
-    pool: &mut SessionPool<'d>,
-    lane: &[Board],
-    out: &mut [Option<Report>],
-) -> Result<()> {
-    debug_assert_eq!(lane.len(), out.len());
-    let mut sessions: Vec<Session<'d>> = Vec::with_capacity(lane.len());
-    for board in lane {
+    fan_out(diagnoser, boards, threads, |pool, board| {
         flames_obs::metrics().boards_diagnosed.incr();
         let mut session = pool.acquire();
         for &(idx, value) in board {
             session.measure_point(idx, value)?;
         }
-        sessions.push(session);
-    }
-    {
-        let mut refs: Vec<&mut Session<'d>> = sessions.iter_mut().collect();
-        Session::propagate_lane(&mut refs);
-    }
-    for (slot, session) in out.iter_mut().zip(sessions) {
-        *slot = Some(session.report());
+        session.propagate();
+        let report = session.report();
         pool.release(session);
+        Ok(report)
+    })
+}
+
+/// Runs `serve` on every item on `threads` scoped workers, each over a
+/// contiguous chunk with a [`SessionPool`] of its own; results come back
+/// in item order. The one fan-out behind every batch driver.
+pub(crate) fn fan_out<'d, T: Sync, R: Send>(
+    diagnoser: &'d Diagnoser,
+    items: &[T],
+    threads: usize,
+    serve: impl Fn(&mut SessionPool<'d>, &T) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    let threads = threads.max(1).min(items.len().max(1));
+    let worker = |batch: &[T]| -> Result<Vec<R>> {
+        let mut pool = SessionPool::new(diagnoser);
+        batch.iter().map(|item| serve(&mut pool, item)).collect()
+    };
+    if threads <= 1 {
+        return worker(items);
     }
-    Ok(())
+    let chunk = items.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|batch| scope.spawn(|| worker(batch)))
+            .collect();
+        let mut results = Vec::with_capacity(items.len());
+        for handle in handles {
+            results.extend(handle.join().expect("batch worker panicked")?);
+        }
+        Ok(results)
+    })
 }
 
 #[cfg(test)]
@@ -1460,17 +1406,15 @@ mod tests {
             })
             .collect();
         for threads in [1, 2, 3, 8] {
-            for lane_width in [1, 3] {
-                let got = diagnose_batch_lanes(&d, &boards, threads, lane_width).unwrap();
-                assert_eq!(
-                    format!("{got:?}"),
-                    format!("{expected:?}"),
-                    "{threads}-thread lane-{lane_width} batch must be byte-identical to sequential"
-                );
-            }
+            let got = diagnose_batch_lanes(&d, &boards, threads).unwrap();
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{expected:?}"),
+                "{threads}-thread batch must be byte-identical to sequential"
+            );
         }
         // Per-board errors surface.
         let bad: Vec<Board> = vec![vec![(99, FuzzyInterval::crisp(0.0))]];
-        assert!(diagnose_batch_lanes(&d, &bad, 2, 1).is_err());
+        assert!(diagnose_batch_lanes(&d, &bad, 2).is_err());
     }
 }

@@ -1209,56 +1209,69 @@ impl<'n> Propagator<'n> {
     /// from the model's pre-propagated base state only ever pays for the
     /// cone of its own measurements.
     ///
-    /// A solo run is a one-board lane of [`Propagator::run_lane`]'s
-    /// agenda, so it works on private and shared schedules alike.
+    /// The agenda is a FIFO of constraint indices with one `queued` flag
+    /// per constraint: a constraint whose inputs changed joins the back
+    /// of the queue unless it is already waiting. A run stops early, with
+    /// the rest of its queue dropped, once it has applied
+    /// [`PropagatorConfig::max_steps`] constraints.
     ///
     /// Returns the number of constraint applications performed.
     pub fn run(&mut self) -> usize {
-        run_agenda(
-            self.schedule.get(),
-            &mut [(&mut self.state, self.config, self.network)],
-        )[0]
-    }
-
-    /// Runs a *lane* of warm propagators to joint quiescence: one shared
-    /// schedule traversal drives up to 64 boards, the queue carrying
-    /// `(constraint, board-bitmask)` waves so a constraint scheduled by
-    /// several boards is fetched and decoded once per wave instead of
-    /// once per board. Each board's subsequence of the shared FIFO is
-    /// exactly the FIFO it would run alone — same applications in the
-    /// same order — so every board's labels, nogoods and coincidences
-    /// come out bit-identical to [`Propagator::run`] on it.
-    ///
-    /// Returns the constraint application count of each board.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane holds more than 64 boards, or if a lane of two
-    /// or more holds a member that owns a private schedule
-    /// ([`Propagator::new`]) or runs on a different shared
-    /// [`CompiledSchedule`] than the first.
-    pub fn run_lane(props: &mut [&mut Self]) -> Vec<usize> {
-        // Copy the shared-schedule reference out (it lives for 'n, not
-        // for the duration of this borrow of `props`).
-        let sched = match props {
-            [] => return Vec::new(),
-            [solo] => return vec![solo.run()],
-            [first, ..] => match first.schedule {
-                ScheduleRef::Shared(s) => s,
-                ScheduleRef::Owned(_) => {
-                    panic!("run_lane requires propagators over one shared CompiledSchedule")
-                }
-            },
+        let sched = self.schedule.get();
+        let config = self.config;
+        let state = &mut self.state;
+        let n = sched.compiled.constraint_count();
+        let consumers = sched.compiled.consumers();
+        let mut wake: Vec<u32> = Vec::new();
+        let mut queue: VecDeque<usize> = if state.ran {
+            // Incremental: wake only the consumers of quantities touched
+            // since the last quiescence, in constraint order.
+            for &qi in &state.dirty {
+                wake.extend_from_slice(&consumers[qi]);
+            }
+            wake.sort_unstable();
+            wake.dedup();
+            wake.iter().map(|&cj| cj as usize).collect()
+        } else {
+            // First run: every constraint starts queued.
+            (0..n).collect()
         };
-        let mut members: Vec<LaneMember<'_>> = Vec::with_capacity(props.len());
-        for p in props.iter_mut() {
-            assert!(
-                matches!(p.schedule, ScheduleRef::Shared(s) if std::ptr::eq(s, sched)),
-                "every lane member must share the same CompiledSchedule"
-            );
-            members.push((&mut p.state, p.config, p.network));
+        let mut queued = vec![false; n];
+        for &cj in &queue {
+            queued[cj] = true;
         }
-        run_agenda(sched, &mut members)
+        state.dirty.clear();
+        state.ran = true;
+        let mut steps = 0usize;
+        let mut changed: Vec<usize> = Vec::new();
+        while let Some(ci) = queue.pop_front() {
+            queued[ci] = false;
+            if steps >= config.max_steps {
+                break;
+            }
+            if state.disabled_constraints[ci] {
+                continue;
+            }
+            steps += 1;
+            state.apply_constraint(sched, config, ci, &mut changed);
+            wake.clear();
+            for &qi in &changed {
+                wake.extend_from_slice(&consumers[qi]);
+            }
+            wake.sort_unstable();
+            wake.dedup();
+            for &cj in &wake {
+                let cj = cj as usize;
+                if !queued[cj] {
+                    queued[cj] = true;
+                    queue.push_back(cj);
+                }
+            }
+        }
+        state.grade_specs(sched, self.network, config);
+        flames_obs::metrics().waves.incr();
+        flames_obs::metrics().constraint_apps.add(steps as u64);
+        steps
     }
 
     // ----- internals -------------------------------------------------
@@ -1275,118 +1288,6 @@ impl<'n> Propagator<'n> {
         let sched = self.schedule.get();
         Env::from_assumptions(comps.iter().map(|c| sched.comp_assumptions[c.index()]))
     }
-}
-
-/// One board of an agenda lane: its state, its knobs, its network.
-type LaneMember<'a> = (&'a mut PropState, PropagatorConfig, &'a Network);
-
-/// The agenda loop behind [`Propagator::run`] and
-/// [`Propagator::run_lane`]: drives every member to quiescence over one
-/// schedule, the queue carrying `(constraint, board-bitmask)` waves.
-/// Each board pops its constraints in the order a FIFO of its own would
-/// (initial waves ascend; each board's requeues ascend), so a one-member
-/// lane is the solo loop. Returns each member's application count.
-fn run_agenda(sched: &CompiledSchedule, members: &mut [LaneMember<'_>]) -> Vec<usize> {
-    assert!(members.len() <= 64, "a lane holds at most 64 boards");
-    let n = sched.compiled.constraint_count();
-    let consumers = sched.compiled.consumers();
-    // Per-constraint bitmask of the boards holding it queued.
-    let mut queued: Vec<u64> = vec![0; n];
-    let mut wake: Vec<u32> = Vec::new();
-    for (b, (state, _, _)) in members.iter_mut().enumerate() {
-        let bit = 1u64 << b;
-        if state.ran {
-            // Incremental: wake only the consumers of quantities touched
-            // since the last quiescence.
-            let mut touched = std::mem::take(&mut state.dirty);
-            touched.sort_unstable();
-            touched.dedup();
-            wake.clear();
-            for &qi in &touched {
-                wake.extend_from_slice(&consumers[qi]);
-            }
-            wake.sort_unstable();
-            wake.dedup();
-            for &cj in &wake {
-                queued[cj as usize] |= bit;
-            }
-            touched.clear();
-            state.dirty = touched;
-        } else {
-            // First run: every constraint starts queued.
-            for m in &mut queued {
-                *m |= bit;
-            }
-            state.dirty.clear();
-        }
-        state.ran = true;
-    }
-    // Initial waves in ascending constraint order — the order every
-    // board's own queue starts in, incremental or full.
-    let mut queue: VecDeque<(u32, u64)> = queued
-        .iter()
-        .enumerate()
-        .filter(|&(_, &mask)| mask != 0)
-        .map(|(ci, &mask)| (ci as u32, mask))
-        .collect();
-    let mut steps = vec![0usize; members.len()];
-    let mut changed: Vec<usize> = Vec::new();
-    // Wakes accumulated during one wave, flushed as merged entries in
-    // ascending constraint order afterwards (each board's own pushes
-    // are ascending, exactly as its own requeue would be).
-    let mut wake_acc: Vec<u64> = vec![0; n];
-    let mut touched_cjs: Vec<u32> = Vec::new();
-    while let Some((ci, mask)) = queue.pop_front() {
-        let ci = ci as usize;
-        queued[ci] &= !mask;
-        let mut rest = mask;
-        while rest != 0 {
-            let b = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            let bit = 1u64 << b;
-            let (state, config, _) = &mut members[b];
-            // A board at its step cap skips its share of every later
-            // wave — the same result as leaving its loop.
-            if steps[b] >= config.max_steps || state.disabled_constraints[ci] {
-                continue;
-            }
-            steps[b] += 1;
-            state.apply_constraint(sched, *config, ci, &mut changed);
-            if changed.is_empty() {
-                continue;
-            }
-            wake.clear();
-            for &qi in &changed {
-                wake.extend_from_slice(&consumers[qi]);
-            }
-            wake.sort_unstable();
-            wake.dedup();
-            for &cj in &wake {
-                let cj = cj as usize;
-                if queued[cj] & bit == 0 {
-                    queued[cj] |= bit;
-                    if wake_acc[cj] == 0 {
-                        touched_cjs.push(cj as u32);
-                    }
-                    wake_acc[cj] |= bit;
-                }
-            }
-        }
-        if !touched_cjs.is_empty() {
-            touched_cjs.sort_unstable();
-            for &cj in &touched_cjs {
-                queue.push_back((cj, wake_acc[cj as usize]));
-                wake_acc[cj as usize] = 0;
-            }
-            touched_cjs.clear();
-        }
-    }
-    for ((state, config, network), &n) in members.iter_mut().zip(&steps) {
-        state.grade_specs(sched, network, *config);
-        flames_obs::metrics().waves.incr();
-        flames_obs::metrics().constraint_apps.add(n as u64);
-    }
-    steps
 }
 
 impl PropState {
@@ -2000,205 +1901,6 @@ mod tests {
         let a = run_board(&mut legacy, &network, &nl);
         let b = run_board(&mut shared, &network, &nl);
         assert_eq!(a, b, "filters survive reset");
-    }
-
-    /// The reference agenda for one board: a plain FIFO (`VecDeque`) of
-    /// constraint indices with a `queued` flag per constraint, breaking
-    /// out at the step cap. The lane agenda must pop every board's
-    /// constraints in exactly this order.
-    fn reference_run(prop: &mut Propagator<'_>) -> usize {
-        let sched = prop.schedule.get();
-        let network = prop.network;
-        let config = prop.config;
-        let state = &mut prop.state;
-        let n = sched.compiled.constraint_count();
-        let mut wake: Vec<u32> = Vec::new();
-        let mut queue: VecDeque<usize>;
-        let mut queued: Vec<bool>;
-        if state.ran {
-            let mut touched = std::mem::take(&mut state.dirty);
-            touched.sort_unstable();
-            touched.dedup();
-            for &qi in &touched {
-                wake.extend_from_slice(&sched.compiled.consumers()[qi]);
-            }
-            wake.sort_unstable();
-            wake.dedup();
-            queued = vec![false; n];
-            queue = wake.iter().map(|&cj| cj as usize).collect();
-            for &cj in &queue {
-                queued[cj] = true;
-            }
-        } else {
-            queue = (0..n).collect();
-            queued = vec![true; n];
-            state.dirty.clear();
-        }
-        state.ran = true;
-        let mut steps = 0usize;
-        let mut changed: Vec<usize> = Vec::new();
-        while let Some(ci) = queue.pop_front() {
-            queued[ci] = false;
-            if steps >= config.max_steps {
-                break;
-            }
-            if state.disabled_constraints[ci] {
-                continue;
-            }
-            steps += 1;
-            state.apply_constraint(sched, config, ci, &mut changed);
-            wake.clear();
-            for &qi in &changed {
-                wake.extend_from_slice(&sched.compiled.consumers()[qi]);
-            }
-            wake.sort_unstable();
-            wake.dedup();
-            for &cj in &wake {
-                let cj = cj as usize;
-                if !queued[cj] {
-                    queue.push_back(cj);
-                    queued[cj] = true;
-                }
-            }
-        }
-        state.grade_specs(sched, network, config);
-        steps
-    }
-
-    /// Everything a report is derived from, plus the step count.
-    fn fingerprint(prop: &Propagator<'_>, steps: usize) -> String {
-        let entries: Vec<Vec<ValueEntry>> = prop
-            .state
-            .entries
-            .iter()
-            .map(EntryColumns::to_entries)
-            .collect();
-        format!(
-            "{steps}|{entries:?}|{:?}|{:?}",
-            prop.atms().sorted_nogoods(),
-            prop.coincidences()
-        )
-    }
-
-    /// A propagation path under test: runs every propagator of the lane
-    /// and returns their step counts.
-    type Runner = fn(&mut [Propagator<'_>]) -> Vec<usize>;
-
-    /// Drives each board through a seed run and a measured incremental
-    /// run on `runner`, fingerprinting after both.
-    fn run_boards(
-        network: &Network,
-        schedule: &CompiledSchedule,
-        config: PropagatorConfig,
-        boards: &[Vec<(QuantityId, FuzzyInterval)>],
-        width: usize,
-        runner: Runner,
-    ) -> Vec<String> {
-        let mut out = vec![String::new(); boards.len()];
-        for (lane, fps) in boards.chunks(width).zip(out.chunks_mut(width)) {
-            let mut props: Vec<Propagator<'_>> = lane
-                .iter()
-                .map(|_| Propagator::with_schedule(network, schedule, config))
-                .collect();
-            let seeded = runner(&mut props);
-            for (prop, board) in props.iter_mut().zip(lane) {
-                for &(q, value) in board {
-                    prop.observe(q, value).unwrap();
-                }
-            }
-            let measured = runner(&mut props);
-            for (((fp, prop), s1), s2) in fps.iter_mut().zip(&props).zip(seeded).zip(measured) {
-                *fp = format!("{s1}:{}", fingerprint(prop, s2));
-            }
-        }
-        out
-    }
-
-    fn assert_agenda_matches_reference(
-        nl: &Netlist,
-        network: &Network,
-        boards: &[Vec<(QuantityId, FuzzyInterval)>],
-    ) {
-        let solo: Runner = |props| props.iter_mut().map(Propagator::run).collect();
-        let reference: Runner = |props| props.iter_mut().map(reference_run).collect();
-        let lane: Runner = |props| {
-            let mut refs: Vec<&mut Propagator<'_>> = props.iter_mut().collect();
-            Propagator::run_lane(&mut refs)
-        };
-        let mut cuts_bite = false;
-        for max_steps in [1, 7, usize::MAX] {
-            let config = PropagatorConfig {
-                max_steps,
-                ..PropagatorConfig::default()
-            };
-            let schedule = CompiledSchedule::build(nl, network, config);
-            let expected = run_boards(network, &schedule, config, boards, 1, reference);
-            cuts_bite |= expected
-                .iter()
-                .any(|fp| fp.starts_with(&format!("{max_steps}:")));
-            for (width, runner, name) in
-                [(1, solo, "run"), (1, lane, "lane-1"), (3, lane, "lane-3")]
-            {
-                let got = run_boards(network, &schedule, config, boards, width, runner);
-                assert_eq!(got, expected, "{name} at max_steps {max_steps}");
-            }
-            // A private schedule runs the same one-board lane.
-            for (board, expected) in boards.iter().zip(&expected) {
-                let mut prop = Propagator::new(nl, network, config);
-                let s1 = prop.run();
-                for &(q, value) in board {
-                    prop.observe(q, value).unwrap();
-                }
-                let s2 = prop.run();
-                assert_eq!(&format!("{s1}:{}", fingerprint(&prop, s2)), expected);
-            }
-        }
-        assert!(cuts_bite, "the small step caps must cut a run short");
-    }
-
-    #[test]
-    fn agenda_matches_the_reference_loop_on_the_divider() {
-        let (nl, network) = divider(0.05);
-        let vq = network.voltage_quantity(nl.net_by_name("mid").unwrap());
-        let boards: Vec<Vec<(QuantityId, FuzzyInterval)>> = [5.0, 5.4, 6.1, 4.2]
-            .iter()
-            .map(|&v| vec![(vq, FuzzyInterval::crisp(v).widened(0.05).unwrap())])
-            .collect();
-        assert_agenda_matches_reference(&nl, &network, &boards);
-    }
-
-    #[test]
-    fn agenda_matches_the_reference_loop_on_three_stage() {
-        use flames_circuit::circuits::three_stage;
-        use flames_circuit::fault::inject_faults;
-        use flames_circuit::predict::measure;
-        use flames_circuit::Fault;
-        let ts = three_stage(0.05);
-        let network = extract(&ts.netlist, ExtractOptions::default());
-        let boards: Vec<Vec<(QuantityId, FuzzyInterval)>> = [
-            None,
-            Some((ts.r2, 1.3)),
-            Some((ts.r4, 0.8)),
-            Some((ts.r5, 1.25)),
-        ]
-        .iter()
-        .map(|fault| {
-            let board = match fault {
-                Some((comp, factor)) => {
-                    inject_faults(&ts.netlist, &[(*comp, Fault::ParamFactor(*factor))]).unwrap()
-                }
-                None => ts.netlist.clone(),
-            };
-            ts.test_points
-                .iter()
-                .map(|tp| {
-                    let q = network.voltage_quantity(tp.net);
-                    (q, measure(&board, tp.net, 0.02).unwrap())
-                })
-                .collect()
-        })
-        .collect();
-        assert_agenda_matches_reference(&ts.netlist, &network, &boards);
     }
 
     /// A borrowed view of one stored entry, materialized from the

@@ -636,6 +636,9 @@ pub fn rule_hit_report(diagnoser: &Diagnoser, board: &Board, hit: &RuleProvenanc
 /// [`CacheConfig::learn`] is set, absorbed back into the store.
 /// With [`CacheConfig::enabled`] off the function is a pass-through.
 ///
+/// `_lane_width` is not read: every board propagates alone. The
+/// parameter stays until the service benchmark stops passing it.
+///
 /// # Errors
 ///
 /// Returns the first per-board error, as [`diagnose_batch_lanes`] does.
@@ -645,10 +648,10 @@ pub fn diagnose_batch_lanes_cached(
     config: &CacheConfig,
     boards: &[Board],
     threads: usize,
-    lane_width: usize,
+    _lane_width: usize,
 ) -> crate::Result<Vec<CachedReport>> {
     if !config.enabled {
-        let reports = diagnose_batch_lanes(diagnoser, boards, threads, lane_width)?;
+        let reports = diagnose_batch_lanes(diagnoser, boards, threads)?;
         return Ok(reports
             .into_iter()
             .map(|report| CachedReport {
@@ -685,7 +688,7 @@ pub fn diagnose_batch_lanes_cached(
             }
         }
     }
-    let reports = diagnose_batch_lanes(diagnoser, &miss_boards, threads, lane_width)?;
+    let reports = diagnose_batch_lanes(diagnoser, &miss_boards, threads)?;
     for (slot, report) in miss_slots.into_iter().zip(reports) {
         if config.learn {
             store.absorb(&report);

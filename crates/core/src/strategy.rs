@@ -34,7 +34,7 @@
 //! differential suites and the `exp_strategy` benchmark gate assert the
 //! fast path reproduces it bit for bit.
 
-use crate::engine::{fan_out_lanes, Diagnoser, Session, SessionPool};
+use crate::engine::{fan_out, Diagnoser, Session};
 use flames_atms::Assumption;
 use flames_fuzzy::entropy::{expected_entropy, fuzzy_entropy, shannon_entropy, EntropyMemo};
 use flames_fuzzy::FuzzyInterval;
@@ -666,15 +666,10 @@ fn isolated_in(cands: &[crate::engine::Candidate]) -> bool {
 pub type BoardReadings = Vec<FuzzyInterval>;
 
 /// Runs [`probe_until_isolated`] for a fleet of boards on `threads`
-/// scoped worker threads, each worker recycling sessions through its
-/// own [`SessionPool`] and driving its boards in lanes of up to
-/// `lane_width` live sessions (clamped to `1..=64`): each session's next
-/// probe is planned individually, but the whole lane propagates jointly
-/// ([`Session::propagate_lane`]) so one schedule traversal per wave is
-/// amortised over the lane. Sessions retire from the lane as they
-/// isolate. Runs are byte-identical to sequential
-/// [`probe_until_isolated`] runs on fresh sessions, for any thread count
-/// and lane width, and come back in board order.
+/// scoped worker threads, each worker recycling one session through its
+/// own [`crate::SessionPool`]. Runs are byte-identical to sequential
+/// [`probe_until_isolated`] runs on fresh sessions, for any thread
+/// count, and come back in board order.
 ///
 /// # Errors
 ///
@@ -689,96 +684,13 @@ pub fn probe_batch_lanes(
     policy: Policy,
     lambda_cost: f64,
     threads: usize,
-    lane_width: usize,
 ) -> crate::Result<Vec<ProbeRun>> {
-    fan_out_lanes(diagnoser, boards, threads, lane_width, |pool, lane, out| {
-        probe_lane_into(pool, lane, policy, lambda_cost, out)
+    fan_out(diagnoser, boards, threads, |pool, readings| {
+        let mut session = pool.acquire();
+        let run = probe_until_isolated(&mut session, policy, lambda_cost, &|i| readings[i])?;
+        pool.release(session);
+        Ok(run)
     })
-}
-
-/// Drives one lane of boards in lock step: plan each live session's next
-/// probe, measure, propagate the lane jointly, retire isolated sessions.
-fn probe_lane_into<'d>(
-    pool: &mut SessionPool<'d>,
-    lane: &[BoardReadings],
-    policy: Policy,
-    lambda_cost: f64,
-    out: &mut [Option<ProbeRun>],
-) -> crate::Result<()> {
-    debug_assert_eq!(lane.len(), out.len());
-    struct Live<'d> {
-        session: Session<'d>,
-        slot: usize,
-        memo: EntropyMemo,
-        probes: Vec<String>,
-        cost: f64,
-    }
-    let mut live: Vec<Live<'d>> = lane
-        .iter()
-        .enumerate()
-        .map(|(slot, _)| Live {
-            session: pool.acquire(),
-            slot,
-            memo: EntropyMemo::new(),
-            probes: Vec::new(),
-            cost: 0.0,
-        })
-        .collect();
-    while !live.is_empty() {
-        // Plan and measure each live session's next probe; sessions with
-        // nothing left to probe finish immediately.
-        let mut still = Vec::with_capacity(live.len());
-        for mut l in live {
-            let choices = recommend_with_memo(&l.session, policy, lambda_cost, 1, &mut l.memo);
-            match choices.first() {
-                Some(choice) => {
-                    l.session
-                        .measure_point(choice.point, lane[l.slot][choice.point])?;
-                    l.probes.push(choice.name.clone());
-                    l.cost += choice.cost;
-                    still.push(l);
-                }
-                None => out[l.slot] = Some(finish_probe_run(pool, l.session, l.probes, l.cost)),
-            }
-        }
-        live = still;
-        // One joint propagation wave over the lane.
-        {
-            let mut sessions: Vec<&mut Session<'d>> =
-                live.iter_mut().map(|l| &mut l.session).collect();
-            Session::propagate_lane(&mut sessions);
-        }
-        // Retire sessions that isolated on this wave.
-        let mut still = Vec::with_capacity(live.len());
-        for l in live {
-            if isolated(&l.session) {
-                out[l.slot] = Some(finish_probe_run(pool, l.session, l.probes, l.cost));
-            } else {
-                still.push(l);
-            }
-        }
-        live = still;
-    }
-    Ok(())
-}
-
-/// Renders a finished session's [`ProbeRun`] and recycles the session.
-fn finish_probe_run<'d>(
-    pool: &mut SessionPool<'d>,
-    session: Session<'d>,
-    probes: Vec<String>,
-    cost: f64,
-) -> ProbeRun {
-    let cands = session.candidates(CANDIDATE_BUDGET.max_size, CANDIDATE_BUDGET.max_count);
-    let top_candidate = cands.first().map(|c| c.members.clone()).unwrap_or_default();
-    let run = ProbeRun {
-        probes,
-        cost,
-        top_candidate,
-        isolated: isolated(&session),
-    };
-    pool.release(session);
-    run
 }
 
 #[cfg(test)]
@@ -973,16 +885,12 @@ mod tests {
             })
             .collect();
         for threads in [1, 2, 4] {
-            for lane_width in [1, 2, 4] {
-                let lanes =
-                    probe_batch_lanes(&d, &boards, Policy::FuzzyEntropy, 0.1, threads, lane_width)
-                        .unwrap();
-                assert_eq!(
-                    format!("{solo:?}"),
-                    format!("{lanes:?}"),
-                    "{threads} threads, lane {lane_width}"
-                );
-            }
+            let batch = probe_batch_lanes(&d, &boards, Policy::FuzzyEntropy, 0.1, threads).unwrap();
+            assert_eq!(
+                format!("{solo:?}"),
+                format!("{batch:?}"),
+                "{threads} threads"
+            );
         }
     }
 

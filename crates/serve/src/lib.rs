@@ -4,11 +4,10 @@
 //! FLAMES serving stack: `POST /diagnose` accepts a batch of
 //! measurement sets and returns ranked candidates plus the recommended
 //! next probe; an admission-control queue coalesces concurrent requests
-//! into shared board-lane waves (≤64 sessions, executed by
-//! [`flames_core::Session::propagate_lane`]) and collapses bit-identical
-//! boards onto one warm session, so duplicate concurrent queries are
-//! nearly free — and, because lane propagation is byte-identical to a
-//! solo run, invisibly so. Overload is shed explicitly (429/503 with an
+//! into waves of at most 64 boards, collapses bit-identical boards onto
+//! one propagation, and propagates each unique board alone on a warm
+//! session, so duplicate concurrent queries are nearly free — and,
+//! because each board's run is a solo run, invisibly so. Overload is shed explicitly (429/503 with an
 //! `{"error": {...}}` taxonomy body), deadlines are honoured per
 //! request, `GET /metrics` dumps the process-wide counter table, and
 //! `GET /trace/:id` streams the Chrome trace of a completed request.

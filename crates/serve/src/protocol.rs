@@ -39,8 +39,9 @@ use flames_obs::trace::escape_json;
 use std::fmt::Write as _;
 
 /// Most boards accepted in one request — one request must fit one
-/// board-lane wave ([`flames_core::Session::propagate_lane`] caps a
-/// lane at 64 sessions).
+/// wave, and the queue bounds a wave at this many boards so the work a
+/// batcher does per wave, and the latency of the requests riding it,
+/// stays bounded.
 pub const MAX_BOARDS_PER_REQUEST: usize = 64;
 
 /// A parsed `/diagnose` request.

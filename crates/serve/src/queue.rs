@@ -6,7 +6,7 @@
 //! overflow is shed immediately with a 429 + `Retry-After` — the
 //! explicit-shedding half of admission control. The draining half is
 //! the coalescing policy: with coalescing on, one wave takes every
-//! queued request that fits the 64-session lane cap (requests that
+//! queued request that fits the 64-board wave bound (requests that
 //! arrive while a wave executes pile up and ride the next wave
 //! together — dynamic batching, no timer needed under closed-loop
 //! load); with it off, every wave carries exactly one request, the
@@ -97,8 +97,9 @@ impl JobQueue {
 
     /// Blocks until work is available and drains the next wave, FIFO:
     /// the oldest job, plus — with coalescing on — every following job
-    /// that keeps the wave within the 64-board lane cap. Returns `None`
-    /// once the queue is closed *and* empty (batcher shutdown).
+    /// that keeps the wave within [`MAX_BOARDS_PER_REQUEST`] boards, so
+    /// the work of one wave stays bounded. Returns `None` once the queue
+    /// is closed *and* empty (batcher shutdown).
     pub fn next_wave(&self) -> Option<Vec<Job>> {
         let mut state = self.lock();
         loop {

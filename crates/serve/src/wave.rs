@@ -1,14 +1,15 @@
-//! Wave execution: coalesced requests → one board-lane propagation.
+//! Wave execution: coalesced requests → one propagation per unique
+//! board.
 //!
 //! A *wave* is the unit of server-side work: the boards of every
 //! request drained from the admission queue, deduplicated (identical
-//! measurement sets collapse onto one warm session — the request
+//! measurement sets collapse onto one propagation — the request
 //! coalescing that makes concurrent duplicate queries nearly free), and
-//! driven to quiescence by a single shared-agenda lane traversal
-//! ([`Session::propagate_lane`]). A solo run is a width-1 lane of the
-//! same agenda, so each board's propagation is byte-identical to a solo
-//! run and coalescing is invisible in the responses — the end-to-end
-//! suite pins server bytes against [`flames_core::diagnose_batch_lanes`].
+//! each unique board driven to quiescence alone on the batcher's warm
+//! session ([`Session::propagate`]). Each board's propagation is
+//! therefore a solo run, and coalescing is invisible in the responses —
+//! the end-to-end suite pins server bytes against
+//! [`flames_core::diagnose_batch_lanes`].
 
 use flames_core::strategy::{recommend, Policy};
 use flames_core::{
@@ -68,8 +69,8 @@ fn board_key(board: &Board) -> Vec<(usize, [u64; 4])> {
         .collect()
 }
 
-/// Diagnoses one wave of boards on pooled sessions: dedup, measure,
-/// one lane propagation, then report + next-probe per unique board,
+/// Diagnoses one wave of boards on a pooled session: dedup, then
+/// measure, propagate, report and next-probe each unique board in turn,
 /// fanned back out to every input board.
 ///
 /// `want_next_probe[i]` asks for a recommendation for board `i`; a
@@ -81,11 +82,6 @@ fn board_key(board: &Board) -> Vec<(usize, [u64; 4])> {
 /// Returns the first per-board error (out-of-range test-point index —
 /// unreachable through the HTTP path, which validates indices at
 /// parse time).
-///
-/// # Panics
-///
-/// Panics if the wave exceeds 64 unique boards (the lane cap); the
-/// admission queue never drains more.
 pub fn run_wave<'d>(
     pool: &mut SessionPool<'d>,
     boards: &[Board],
@@ -101,21 +97,16 @@ pub fn run_wave<'d>(
 /// consult the cache once) is discretized to symptoms without
 /// propagation; a confident hit is answered straight from the rule —
 /// with [`RuleProvenance`] and no next-probe recommendation (the rule
-/// already names the culprit) — while misses take the identical lane
-/// path `run_wave` takes, so their reports and response bytes are
-/// unchanged. When [`CacheConfig::learn`] is set, each miss outcome is
-/// absorbed back into the store. `cache: None` (or a disabled config) *is*
-/// [`run_wave`]: one shared code path, so the cache-off bytes cannot
-/// drift.
+/// already names the culprit) — while misses take the identical
+/// propagation path `run_wave` takes, so their reports and response
+/// bytes are unchanged. When [`CacheConfig::learn`] is set, each miss
+/// outcome is absorbed back into the store. `cache: None` (or a
+/// disabled config) *is* [`run_wave`]: one shared code path, so the
+/// cache-off bytes cannot drift.
 ///
 /// # Errors
 ///
 /// Returns the first per-board error, as [`run_wave`] does.
-///
-/// # Panics
-///
-/// Panics if the wave exceeds 64 unique model-path boards (the lane
-/// cap); the admission queue never drains more.
 pub fn run_wave_cached<'d>(
     pool: &mut SessionPool<'d>,
     boards: &[Board],
@@ -144,7 +135,7 @@ pub fn run_wave_cached<'d>(
         .add((boards.len() - unique_boards.len()) as u64);
 
     // Consult the rule store per unique board; hits never open a
-    // session. `None` entries fall through to the lane below.
+    // session. `None` entries fall through to propagation below.
     let mut unique_outcomes: Vec<Option<BoardOutcome>> = Vec::new();
     unique_outcomes.resize_with(unique_boards.len(), || None);
     let snapshot = cache.map(|(store, _)| store.snapshot());
@@ -168,8 +159,6 @@ pub fn run_wave_cached<'d>(
         }
     }
 
-    let mut sessions: Vec<Session<'d>> = Vec::with_capacity(unique_boards.len());
-    let mut session_slots: Vec<usize> = Vec::with_capacity(unique_boards.len());
     for (slot, board) in unique_boards.iter().enumerate() {
         if unique_outcomes[slot].is_some() {
             continue;
@@ -179,14 +168,7 @@ pub fn run_wave_cached<'d>(
         for &(idx, value) in board.iter() {
             session.measure_point(idx, value)?;
         }
-        sessions.push(session);
-        session_slots.push(slot);
-    }
-    {
-        let mut refs: Vec<&mut Session<'d>> = sessions.iter_mut().collect();
-        Session::propagate_lane(&mut refs);
-    }
-    for (session, &slot) in sessions.iter().zip(&session_slots) {
+        session.propagate();
         let report = session.report();
         if let Some((store, config)) = cache {
             if config.learn {
@@ -194,7 +176,7 @@ pub fn run_wave_cached<'d>(
             }
         }
         let next_probe = if unique_probe[slot] {
-            recommend(session, Policy::FuzzyEntropy, 0.0)
+            recommend(&session, Policy::FuzzyEntropy, 0.0)
                 .into_iter()
                 .next()
                 .map(|c| NextProbe {
@@ -205,14 +187,12 @@ pub fn run_wave_cached<'d>(
         } else {
             None
         };
+        pool.release(session);
         unique_outcomes[slot] = Some(BoardOutcome {
             report,
             next_probe,
             provenance: None,
         });
-    }
-    for session in sessions {
-        pool.release(session);
     }
     let unique_outcomes: Vec<BoardOutcome> = unique_outcomes
         .into_iter()
@@ -226,8 +206,8 @@ pub fn run_wave_cached<'d>(
 
 /// The in-process reference for the end-to-end suite and the bench:
 /// diagnoses `boards` exactly as the server's batcher would execute
-/// them as one wave (fresh pool, dedup, lane propagation, next-probe
-/// recommendation per board).
+/// them as one wave (fresh pool, dedup, one propagation per unique
+/// board, next-probe recommendation per board).
 ///
 /// # Errors
 ///
@@ -270,10 +250,10 @@ pub fn diagnose_boards_cached(
 /// answered (`rule_hits[i]`) gets an empty trace, since nothing was
 /// propagated for it.
 ///
-/// The replay is exact. A solo run is a width-1 lane of the same
-/// agenda, so the trace equals the one the serving lane's session would
-/// have exported; and the model path never reads the rule store, so a
-/// store that learned since the request was served cannot change it.
+/// The replay is exact. The wave propagated each board alone too, so
+/// the trace equals the one the serving session would have exported;
+/// and the model path never reads the rule store, so a store that
+/// learned since the request was served cannot change it.
 ///
 /// # Errors
 ///
@@ -403,7 +383,7 @@ mod tests {
         // for 3 boards, and the duplicate's outcome is a clone.
         let boards = vec![board(6.1), board(4.2), board(6.1)];
         let outcomes = diagnose_boards(&d, &boards, true).unwrap();
-        let expected = diagnose_batch_lanes(&d, &boards, 1, 64).unwrap();
+        let expected = diagnose_batch_lanes(&d, &boards, 1).unwrap();
         assert_eq!(outcomes.len(), 3);
         for (o, e) in outcomes.iter().zip(&expected) {
             assert_eq!(format!("{:?}", o.report), format!("{e:?}"));

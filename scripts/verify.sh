@@ -79,7 +79,7 @@ run_gate exp_perf BENCH_atms.json
 echo "==> exp_batch (serving gate: byte-identical reports, warm pool >= 1.5x cold)"
 run_gate exp_batch BENCH_batch.json
 
-echo "==> exp_dc (conflict gate: closed-form Dc exact and >= 3x PWL, lanes byte-identical and >= 0.9x)"
+echo "==> exp_dc (conflict gate: closed-form Dc exact and >= 3x PWL)"
 run_gate exp_dc BENCH_dc.json
 
 echo "==> exp_strategy (planning gate: incremental candidates and probe planning >= 3x, byte-identical across threads, full loop no-regression)"

@@ -19,8 +19,8 @@
 //!   (feature `obs`, on by default; off compiles to no-ops);
 //! * [`serve`] — the network-facing diagnosis service: a std-only
 //!   HTTP/1.1 server that coalesces concurrent `POST /diagnose`
-//!   requests into shared board-lane waves, with bounded-backlog
-//!   admission control and metrics/trace endpoints.
+//!   requests into deduplicated waves, with bounded-backlog admission
+//!   control and metrics/trace endpoints.
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
 //! `EXPERIMENTS.md` for the paper-vs-measured record. The runnable

@@ -223,7 +223,7 @@ fn fuzzy_equals_crisp_on_200_rectangular_boards() {
             .map(|tp| network.voltage_quantity(tp.net))
             .collect();
         let mut pool = SessionPool::new(&diagnoser);
-        let mut lane_boards: Vec<Board> = Vec::new();
+        let mut batch_boards: Vec<Board> = Vec::new();
         for i in 0..5 {
             let Some(board) = random_board(&g, &mut rng, i) else {
                 continue;
@@ -321,24 +321,24 @@ fn fuzzy_equals_crisp_on_200_rectangular_boards() {
                 assert_eq!(warm_trace, reference.1, "pooled trace diverges");
                 pool.release(warm);
             }
-            lane_boards.push(readings.iter().copied().enumerate().collect());
+            batch_boards.push(readings.iter().copied().enumerate().collect());
             boards_checked += 1;
         }
-        // Board-lane serving on this circuit's random fleet: joint
-        // propagation over a shared schedule must stay byte-identical
-        // to the per-board batch path, for any lane width.
-        if !lane_boards.is_empty() {
+        // Batch serving on this circuit's random fleet: spreading the
+        // boards over worker threads must stay byte-identical to one
+        // worker, for any thread count.
+        if !batch_boards.is_empty() {
             let reference = format!(
                 "{:?}",
-                diagnose_batch_lanes(&diagnoser, &lane_boards, 1, 1).expect("batch runs")
+                diagnose_batch_lanes(&diagnoser, &batch_boards, 1).expect("batch runs")
             );
-            for lane_width in [1, 3, 64] {
-                let laned = diagnose_batch_lanes(&diagnoser, &lane_boards, 2, lane_width)
-                    .expect("lanes run");
+            for threads in [2, 3, 8] {
+                let batch =
+                    diagnose_batch_lanes(&diagnoser, &batch_boards, threads).expect("batch runs");
                 assert_eq!(
-                    format!("{laned:?}"),
+                    format!("{batch:?}"),
                     reference,
-                    "circuit {circuit_idx}: lane-{lane_width} batch diverges from per-board"
+                    "circuit {circuit_idx}: {threads}-thread batch diverges from one thread"
                 );
             }
         }

@@ -66,7 +66,7 @@ fn fixture() -> (Diagnoser, Vec<Board>) {
 #[test]
 fn empty_store_and_disabled_cache_match_the_engine_exactly() {
     let (diagnoser, boards) = fixture();
-    let expected = diagnose_batch_lanes(&diagnoser, &boards, 1, 64).expect("lane batch");
+    let expected = diagnose_batch_lanes(&diagnoser, &boards, 1).expect("batch");
 
     // A cold store never hits, so every report rides the model path.
     let store = RuleStore::new();
@@ -129,7 +129,7 @@ fn recurring_faults_hit_after_training_and_carry_provenance() {
             .expect("training pass");
         assert!(out.iter().all(|c| c.provenance.is_none()));
     }
-    let expected = diagnose_batch_lanes(&diagnoser, &boards, 1, 64).expect("lane batch");
+    let expected = diagnose_batch_lanes(&diagnoser, &boards, 1).expect("batch");
     let warm = diagnose_batch_lanes_cached(&diagnoser, &store, &config, &boards, 1, 64)
         .expect("warm pass");
     // The healthy board (index 0) is never served from the cache; every

@@ -10,16 +10,25 @@
 //! to the fixpoint the engine computed without it. A deliberate change
 //! of the fixpoint (new classification rule, new dominance rule) must
 //! recapture them and say so.
+//!
+//! The capped and private-schedule digests also pin the agenda order:
+//! each board runs a seed run and a measured incremental run on a bare
+//! [`Propagator`] at step caps of 1 and 7, where the order the agenda
+//! pops constraints decides which applications fit under the cap, and
+//! once more on a private schedule ([`Propagator::new`]). The step
+//! counts of both runs are hashed with the fixpoint. These constants
+//! were captured while the agenda still carried per-board lane masks,
+//! and pin the one-board FIFO that replaced it to the same order.
 
 use flames::atms::Env;
-use flames::circuit::circuits::{hierarchy, three_stage, HierarchySpec};
-use flames::circuit::constraint::{extract, ExtractOptions, QuantityId};
+use flames::circuit::circuits::{hierarchy, three_stage, Hierarchy, HierarchySpec, ThreeStage};
+use flames::circuit::constraint::{extract, ExtractOptions, Network, QuantityId};
 use flames::circuit::fault::inject_faults;
-use flames::circuit::predict::measure;
-use flames::circuit::{CompId, Fault};
-use flames::core::propagation::{CoincidenceKind, PropagatorConfig};
-use flames::core::{Diagnoser, DiagnoserConfig, Session};
-use flames::fuzzy::Direction;
+use flames::circuit::predict::{measure, TestPoint};
+use flames::circuit::{CompId, Fault, Netlist};
+use flames::core::propagation::{CoincidenceKind, CompiledSchedule, Propagator, PropagatorConfig};
+use flames::core::{Diagnoser, DiagnoserConfig};
+use flames::fuzzy::{Direction, FuzzyInterval};
 
 /// 64-bit FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -48,11 +57,14 @@ impl Fnv {
     }
 }
 
-/// Digest of one propagated session: labels of every quantity in id
-/// order, then the nogoods, then the coincidence records.
-fn digest(session: &Session<'_>, quantities: usize) -> u64 {
-    let prop = session.propagator();
+/// Digest of one propagated board: the step counts `steps` (none for a
+/// session digest), labels of every quantity in id order, then the
+/// nogoods, then the coincidence records.
+fn digest(prop: &Propagator<'_>, quantities: usize, steps: &[usize]) -> u64 {
     let mut h = Fnv::new();
+    for &n in steps {
+        h.word(n as u64);
+    }
     for q in 0..quantities {
         let entries = prop
             .entries(QuantityId::from_raw(q))
@@ -95,25 +107,81 @@ fn digest(session: &Session<'_>, quantities: usize) -> u64 {
     h.0
 }
 
-/// Measures `points` of the (possibly drifted) board, propagates a fresh
-/// session and digests it.
-fn run_board(diagnoser: &Diagnoser, readings: &[(usize, flames::fuzzy::FuzzyInterval)]) -> u64 {
+/// One board under test: a name and its `(test-point index, reading)`
+/// pairs.
+type Readings = Vec<(usize, FuzzyInterval)>;
+
+/// Measures a board's readings on a fresh session, propagates and
+/// digests it.
+fn run_board(diagnoser: &Diagnoser, readings: &Readings) -> u64 {
     let mut session = diagnoser.session();
     for &(idx, value) in readings {
         session.measure_point(idx, value).expect("valid point");
     }
     session.propagate();
-    digest(&session, diagnoser.network().quantity_count())
+    digest(
+        session.propagator(),
+        diagnoser.network().quantity_count(),
+        &[],
+    )
 }
 
-fn three_stage_digests() -> Vec<(String, u64)> {
-    let ts = three_stage(0.05);
-    let diagnoser = Diagnoser::from_netlist(
-        &ts.netlist,
-        ts.test_points.clone(),
-        DiagnoserConfig::default(),
-    )
-    .expect("three-stage model compiles");
+/// Runs a bare propagator twice — a seed run, then an incremental run
+/// after observing the board's readings — and digests both step counts
+/// with the fixpoint.
+fn run_two_stage(
+    mut prop: Propagator<'_>,
+    network: &Network,
+    test_points: &[TestPoint],
+    readings: &Readings,
+) -> u64 {
+    let seeded = prop.run();
+    for &(idx, value) in readings {
+        let q = network.voltage_quantity(test_points[idx].net);
+        prop.observe(q, value).expect("valid quantity");
+    }
+    let measured = prop.run();
+    digest(&prop, network.quantity_count(), &[seeded, measured])
+}
+
+/// Every board through [`run_two_stage`] on a shared schedule at step
+/// caps 1 and 7, then on a private schedule ([`Propagator::new`]) under
+/// `config`.
+fn two_stage_digests(
+    netlist: &Netlist,
+    network: &Network,
+    test_points: &[TestPoint],
+    config: PropagatorConfig,
+    boards: &[(String, Readings)],
+) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for max_steps in [1, 7] {
+        let capped = PropagatorConfig {
+            max_steps,
+            ..config
+        };
+        let schedule = CompiledSchedule::build(netlist, network, capped);
+        for (name, readings) in boards {
+            let prop = Propagator::with_schedule(network, &schedule, capped);
+            out.push((
+                format!("cap{max_steps} {name}"),
+                run_two_stage(prop, network, test_points, readings),
+            ));
+        }
+    }
+    for (name, readings) in boards {
+        let prop = Propagator::new(netlist, network, config);
+        out.push((
+            format!("private {name}"),
+            run_two_stage(prop, network, test_points, readings),
+        ));
+    }
+    out
+}
+
+/// The three-stage amplifier's boards: healthy, each resistor drifted,
+/// and one partial board.
+fn three_stage_boards(ts: &ThreeStage) -> Vec<(String, Readings)> {
     let read = |drift: Option<(CompId, f64)>, points: &[usize]| {
         let netlist = match drift {
             Some((comp, factor)) => {
@@ -128,13 +196,10 @@ fn three_stage_digests() -> Vec<(String, u64)> {
                 let net = ts.test_points[idx].net;
                 (idx, measure(&netlist, net, 0.02).expect("board solves"))
             })
-            .collect::<Vec<_>>()
+            .collect::<Readings>()
     };
     let all = [0, 1, 2];
-    let mut out = vec![(
-        "healthy".to_owned(),
-        run_board(&diagnoser, &read(None, &all)),
-    )];
+    let mut out = vec![("healthy".to_owned(), read(None, &all))];
     let resistors = [
         ("R1", ts.r1, 1.3),
         ("R2", ts.r2, 1.3),
@@ -144,16 +209,60 @@ fn three_stage_digests() -> Vec<(String, u64)> {
         ("R6", ts.r6, 0.7),
     ];
     for (name, comp, factor) in resistors {
-        let readings = read(Some((comp, factor)), &all);
-        out.push((format!("{name}x{factor}"), run_board(&diagnoser, &readings)));
+        out.push((format!("{name}x{factor}"), read(Some((comp, factor)), &all)));
     }
     // A partial board: V2 never probed.
-    let readings = read(Some((ts.r2, 1.3)), &[0, 2]);
     out.push((
         "R2x1.3 partial".to_owned(),
-        run_board(&diagnoser, &readings),
+        read(Some((ts.r2, 1.3)), &[0, 2]),
     ));
     out
+}
+
+/// The small hierarchy's boards: three single drifts.
+fn hierarchy_boards(h: &Hierarchy) -> Vec<(String, Readings)> {
+    let drifts = [
+        ("shunt1x1.15", h.backbone_shunt[1], 1.15),
+        ("block2.2x1.25", h.blocks[2][2], 1.25),
+        ("block0.1x0.8", h.blocks[0][1], 0.8),
+    ];
+    drifts
+        .iter()
+        .map(|&(name, comp, factor)| {
+            let board = inject_faults(&h.netlist, &[(comp, Fault::ParamFactor(factor))])
+                .expect("drift injection");
+            let readings = h
+                .readings(&board, 0.02)
+                .expect("board solves")
+                .into_iter()
+                .enumerate()
+                .collect();
+            (name.to_owned(), readings)
+        })
+        .collect()
+}
+
+/// The hierarchy needs more than the default step budget to reach its
+/// seed fixpoint.
+fn hierarchy_config() -> PropagatorConfig {
+    PropagatorConfig {
+        max_steps: 5_000_000,
+        ..PropagatorConfig::default()
+    }
+}
+
+fn three_stage_digests() -> Vec<(String, u64)> {
+    let ts = three_stage(0.05);
+    let diagnoser = Diagnoser::from_netlist(
+        &ts.netlist,
+        ts.test_points.clone(),
+        DiagnoserConfig::default(),
+    )
+    .expect("three-stage model compiles");
+    three_stage_boards(&ts)
+        .iter()
+        .map(|(name, readings)| (name.clone(), run_board(&diagnoser, readings)))
+        .collect()
 }
 
 fn hierarchy_digests() -> Vec<(String, u64)> {
@@ -165,31 +274,13 @@ fn hierarchy_digests() -> Vec<(String, u64)> {
         h.test_points.clone(),
         h.predictions().expect("nominal predictions"),
         DiagnoserConfig {
-            propagator: PropagatorConfig {
-                max_steps: 5_000_000,
-                ..PropagatorConfig::default()
-            },
+            propagator: hierarchy_config(),
             ..DiagnoserConfig::default()
         },
     );
-    let drifts = [
-        ("shunt1x1.15", h.backbone_shunt[1], 1.15),
-        ("block2.2x1.25", h.blocks[2][2], 1.25),
-        ("block0.1x0.8", h.blocks[0][1], 0.8),
-    ];
-    drifts
+    hierarchy_boards(&h)
         .iter()
-        .map(|&(name, comp, factor)| {
-            let board = inject_faults(&h.netlist, &[(comp, Fault::ParamFactor(factor))])
-                .expect("drift injection");
-            let readings: Vec<_> = h
-                .readings(&board, 0.02)
-                .expect("board solves")
-                .into_iter()
-                .enumerate()
-                .collect();
-            (name.to_owned(), run_board(&diagnoser, &readings))
-        })
+        .map(|(name, readings)| (name.clone(), run_board(&diagnoser, readings)))
         .collect()
 }
 
@@ -223,6 +314,75 @@ fn hierarchy_fixpoints_match_the_captured_digests() {
             ("shunt1x1.15", 0x50c7_cddd_54b6_4fbf),
             ("block2.2x1.25", 0x6f06_2db7_0b5f_012b),
             ("block0.1x0.8", 0xd9fa_1502_385c_255c),
+        ],
+    );
+}
+
+#[test]
+fn three_stage_capped_and_private_runs_match_the_captured_digests() {
+    let ts = three_stage(0.05);
+    let network = extract(&ts.netlist, ExtractOptions::default());
+    let got = two_stage_digests(
+        &ts.netlist,
+        &network,
+        &ts.test_points,
+        PropagatorConfig::default(),
+        &three_stage_boards(&ts),
+    );
+    assert_digests(
+        &got,
+        &[
+            ("cap1 healthy", 0xb8a0_5e2a_55b3_96b7),
+            ("cap1 R1x1.3", 0xde9e_4fb7_374e_b98f),
+            ("cap1 R2x1.3", 0x55d4_7c0a_5ff0_868f),
+            ("cap1 R3x0.75", 0x8cf1_128a_0b3a_29b3),
+            ("cap1 R4x0.8", 0xf5b4_b642_9d84_9193),
+            ("cap1 R5x1.25", 0x29bc_cb64_b7c0_16ef),
+            ("cap1 R6x0.7", 0x21cc_846a_9fbb_78db),
+            ("cap1 R2x1.3 partial", 0x790e_1a4b_7f19_06d2),
+            ("cap7 healthy", 0x780c_08d2_2cec_5a6d),
+            ("cap7 R1x1.3", 0x78fd_7fc3_d09e_e7c5),
+            ("cap7 R2x1.3", 0x9e55_accd_67ac_f772),
+            ("cap7 R3x0.75", 0x1bb7_253e_e121_a7a1),
+            ("cap7 R4x0.8", 0x7e1f_5420_47a0_a5e2),
+            ("cap7 R5x1.25", 0xd13f_4104_8d9b_89a6),
+            ("cap7 R6x0.7", 0xfa22_950c_2575_f2a9),
+            ("cap7 R2x1.3 partial", 0xf155_e54d_9ca5_6fab),
+            ("private healthy", 0xc737_c67f_5d0d_20f2),
+            ("private R1x1.3", 0x75fe_24e7_2d32_7ac4),
+            ("private R2x1.3", 0x3843_a28a_ca07_02d1),
+            ("private R3x0.75", 0x7538_8755_ce6f_1a7a),
+            ("private R4x0.8", 0x6008_e8f7_1246_41b2),
+            ("private R5x1.25", 0x80f9_919c_56a0_129b),
+            ("private R6x0.7", 0xd36d_54f7_d7dd_129b),
+            ("private R2x1.3 partial", 0x4060_2e0b_214f_4f10),
+        ],
+    );
+}
+
+#[test]
+fn hierarchy_capped_and_private_runs_match_the_captured_digests() {
+    let h = hierarchy(HierarchySpec::small(7));
+    let network = extract(&h.netlist, ExtractOptions::default());
+    let got = two_stage_digests(
+        &h.netlist,
+        &network,
+        &h.test_points,
+        hierarchy_config(),
+        &hierarchy_boards(&h),
+    );
+    assert_digests(
+        &got,
+        &[
+            ("cap1 shunt1x1.15", 0xab03_cd6f_f8ff_8350),
+            ("cap1 block2.2x1.25", 0x0367_98ed_923d_f450),
+            ("cap1 block0.1x0.8", 0xc2a8_f895_a033_53d8),
+            ("cap7 shunt1x1.15", 0x2d63_ee79_e783_e268),
+            ("cap7 block2.2x1.25", 0xf75b_b3c0_d485_3d80),
+            ("cap7 block0.1x0.8", 0x83b1_3f00_9b7f_1b08),
+            ("private shunt1x1.15", 0x5379_6368_0176_2a54),
+            ("private block2.2x1.25", 0x4d6b_484b_aea9_4a0d),
+            ("private block0.1x0.8", 0x6d13_851c_d42d_99b2),
         ],
     );
 }

@@ -77,7 +77,7 @@ fn request_body(boards: &[Board], next_probe: bool) -> String {
 }
 
 /// What the server must answer, computed in process through the exact
-/// batcher path (dedup + lane propagation + recommendation).
+/// batcher path (dedup + per-board propagation + recommendation).
 fn expected_body(diagnoser: &Diagnoser, boards: &[Board], next_probe: bool) -> String {
     render_response(&diagnose_boards(diagnoser, boards, next_probe).unwrap())
 }
@@ -124,11 +124,11 @@ fn responses_are_byte_identical_to_in_process_diagnosis() {
 fn server_path_matches_the_lane_batch_reference() {
     // The in-process reference the previous test pins against must
     // itself agree with `diagnose_batch_lanes`, closing the chain from
-    // socket bytes back to the engine's lane batcher.
+    // socket bytes back to the engine's batch driver.
     let diagnoser = divider();
     let boards = vec![board(6.1), board(4.2), board(5.0), board(6.1)];
     let outcomes = diagnose_boards(&diagnoser, &boards, false).unwrap();
-    let reference = diagnose_batch_lanes(&diagnoser, &boards, 1, 64).unwrap();
+    let reference = diagnose_batch_lanes(&diagnoser, &boards, 1).unwrap();
     for (o, r) in outcomes.iter().zip(&reference) {
         assert_eq!(format!("{:?}", o.report), format!("{r:?}"));
     }
@@ -232,8 +232,8 @@ fn three_stage_fixture() -> (Diagnoser, Vec<Board>) {
 }
 
 /// The traces a batcher built eagerly, before traces were replayed on
-/// request: dedup the wave's model-path boards, one lane propagation,
-/// then report, recommendation (if any duplicate asked) and
+/// request: dedup the wave's model-path boards, propagate each, then
+/// report, recommendation (if any duplicate asked) and
 /// `Session::trace` per unique board. A rule-hit board propagated
 /// nothing and gets an empty trace. Returns one trace per wave board.
 fn eager_traces(
@@ -270,9 +270,8 @@ fn eager_traces(
             session
         })
         .collect();
-    {
-        let mut refs: Vec<&mut Session<'_>> = sessions.iter_mut().collect();
-        Session::propagate_lane(&mut refs);
+    for session in &mut sessions {
+        session.propagate();
     }
     let traces: Vec<Trace> = sessions
         .iter()

@@ -1,6 +1,6 @@
 //! Serving-path determinism: the compile-once/serve-many refactor must
-//! never change a diagnosis. Batch runs (any thread count and lane
-//! width), warm reused sessions, and cold legacy sessions all have to
+//! never change a diagnosis. Batch runs (any thread count), warm
+//! reused sessions, and cold legacy sessions all have to
 //! produce reports byte-identical to a fresh sequential session per
 //! board — on the paper's Fig. 6 three-stage amplifier and Fig. 5 diode
 //! network.
@@ -11,7 +11,7 @@ use flames::circuit::fault::inject_faults;
 use flames::circuit::predict::{measure, nominal_predictions, TestPoint};
 use flames::circuit::{Fault, Netlist};
 use flames::core::{
-    diagnose_batch_lanes, Board, CompiledModel, Diagnoser, DiagnoserConfig, Report, Session,
+    diagnose_batch_lanes, Board, CompiledModel, Diagnoser, DiagnoserConfig, Report,
 };
 
 // The compiled model and its inputs must be shareable across threads —
@@ -127,18 +127,15 @@ fn assert_warm_reuse_matches(diagnoser: &Diagnoser, boards: &[Board]) {
     }
 }
 
-fn assert_lane_batch_matches(diagnoser: &Diagnoser, boards: &[Board], lane_widths: &[usize]) {
+fn assert_batch_matches(diagnoser: &Diagnoser, boards: &[Board]) {
     let reference = format!("{:?}", sequential(diagnoser, boards));
     for threads in [1, 2, 3, 8] {
-        for &lane_width in lane_widths {
-            let batch =
-                diagnose_batch_lanes(diagnoser, boards, threads, lane_width).expect("lanes run");
-            assert_eq!(
-                format!("{batch:?}"),
-                reference,
-                "{threads}-thread lane-{lane_width} batch must be byte-identical to sequential"
-            );
-        }
+        let batch = diagnose_batch_lanes(diagnoser, boards, threads).expect("batch runs");
+        assert_eq!(
+            format!("{batch:?}"),
+            reference,
+            "{threads}-thread batch must be byte-identical to sequential"
+        );
     }
 }
 
@@ -150,8 +147,7 @@ fn batch_is_deterministic_on_three_stage() {
         reports.iter().skip(1).all(|r| !r.nogoods.is_empty()),
         "drifted boards must raise conflicts"
     );
-    // Width 1 is the solo case: one board per lane, any thread count.
-    assert_lane_batch_matches(&diagnoser, &boards, &[1]);
+    assert_batch_matches(&diagnoser, &boards);
 }
 
 #[test]
@@ -162,8 +158,7 @@ fn batch_is_deterministic_on_diode_net() {
         !reports[1].nogoods.is_empty(),
         "the overcurrent board must raise conflicts"
     );
-    // Width 1 is the solo case: one board per lane, any thread count.
-    assert_lane_batch_matches(&diagnoser, &boards, &[1]);
+    assert_batch_matches(&diagnoser, &boards);
 }
 
 #[test]
@@ -176,62 +171,6 @@ fn warm_reuse_is_deterministic_on_three_stage() {
 fn warm_reuse_is_deterministic_on_diode_net() {
     let (diagnoser, boards) = diode_fleet();
     assert_warm_reuse_matches(&diagnoser, &boards);
-}
-
-#[test]
-fn lane_batches_are_deterministic_on_three_stage() {
-    let (diagnoser, boards) = three_stage_fleet();
-    assert_lane_batch_matches(&diagnoser, &boards, &[2, 3, 64]);
-}
-
-#[test]
-fn lane_batches_are_deterministic_on_diode_net() {
-    let (diagnoser, boards) = diode_fleet();
-    assert_lane_batch_matches(&diagnoser, &boards, &[2, 3, 64]);
-}
-
-/// Driving one lane of warm sessions jointly must leave every session —
-/// report AND exported trace — exactly as solo propagation would.
-#[test]
-fn propagate_lane_matches_solo_sessions() {
-    let (diagnoser, boards) = three_stage_fleet();
-    let reference: Vec<String> = boards
-        .iter()
-        .map(|board| {
-            let mut session = diagnoser.session();
-            for &(idx, value) in board {
-                session.measure_point(idx, value).expect("valid point");
-            }
-            session.propagate();
-            format!(
-                "{:?}\n{}",
-                session.report(),
-                session.trace().to_chrome_json()
-            )
-        })
-        .collect();
-    let mut sessions: Vec<Session<'_>> = boards
-        .iter()
-        .map(|board| {
-            let mut session = diagnoser.session();
-            for &(idx, value) in board {
-                session.measure_point(idx, value).expect("valid point");
-            }
-            session
-        })
-        .collect();
-    {
-        let mut refs: Vec<&mut Session<'_>> = sessions.iter_mut().collect();
-        Session::propagate_lane(&mut refs);
-    }
-    for (b, (session, expected)) in sessions.iter().zip(&reference).enumerate() {
-        let got = format!(
-            "{:?}\n{}",
-            session.report(),
-            session.trace().to_chrome_json()
-        );
-        assert_eq!(&got, expected, "board {b}: lane propagation diverges");
-    }
 }
 
 #[test]

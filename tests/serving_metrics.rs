@@ -65,7 +65,7 @@ fn kernel_counter_deltas_are_thread_count_invariant() {
     let mut reports = Vec::new();
     for threads in [1, 2, 4] {
         let before = MetricsSnapshot::capture();
-        let out = diagnose_batch_lanes(&diagnoser, &boards, threads, 1).expect("batch diagnoses");
+        let out = diagnose_batch_lanes(&diagnoser, &boards, threads).expect("batch diagnoses");
         deltas.push(MetricsSnapshot::capture().delta_since(&before));
         reports.push(format!("{out:?}"));
     }
