@@ -11,7 +11,8 @@ use flames::circuit::fault::inject_faults;
 use flames::circuit::predict::{measure, nominal_predictions, TestPoint};
 use flames::circuit::{Fault, Netlist};
 use flames::core::{
-    diagnose_batch_lanes, Board, CompiledModel, Diagnoser, DiagnoserConfig, Report,
+    diagnose_batch_lanes, diagnose_batch_lanes_cached, Board, CacheConfig, CompiledModel,
+    Diagnoser, DiagnoserConfig, Report, RuleStore, Session,
 };
 
 // The compiled model and its inputs must be shareable across threads —
@@ -139,6 +140,58 @@ fn assert_batch_matches(diagnoser: &Diagnoser, boards: &[Board]) {
     }
 }
 
+/// The lane entry points that outlived the board-lane agenda —
+/// [`Session::propagate_lane`] over groups of warm sessions, and the
+/// cached batch's lane-width argument over a cold store — must still
+/// give reports byte-identical to sequential sessions at every width.
+fn assert_lanes_match(diagnoser: &Diagnoser, boards: &[Board], lane_widths: &[usize]) {
+    let reference = format!("{:?}", sequential(diagnoser, boards));
+    let store = RuleStore::new();
+    let cold = CacheConfig {
+        learn: false,
+        ..CacheConfig::default()
+    };
+    for &lane_width in lane_widths {
+        let mut reports = Vec::new();
+        for lane in boards.chunks(lane_width) {
+            let mut sessions: Vec<Session<'_>> = lane
+                .iter()
+                .map(|board| {
+                    let mut session = diagnoser.session();
+                    for &(idx, value) in board {
+                        session.measure_point(idx, value).expect("valid point");
+                    }
+                    session
+                })
+                .collect();
+            let mut refs: Vec<&mut Session<'_>> = sessions.iter_mut().collect();
+            let steps = Session::propagate_lane(&mut refs);
+            assert_eq!(steps.len(), lane.len(), "one step count per session");
+            reports.extend(sessions.iter().map(Session::report));
+        }
+        assert_eq!(
+            format!("{reports:?}"),
+            reference,
+            "lane-{lane_width} propagation must be byte-identical to sequential"
+        );
+        for threads in [1, 2, 3, 8] {
+            let cached =
+                diagnose_batch_lanes_cached(diagnoser, &store, &cold, boards, threads, lane_width)
+                    .expect("cached batch runs");
+            assert!(
+                cached.iter().all(|c| c.provenance.is_none()),
+                "a cold store cannot hit"
+            );
+            let cached: Vec<Report> = cached.into_iter().map(|c| c.report).collect();
+            assert_eq!(
+                format!("{cached:?}"),
+                reference,
+                "{threads}-thread lane-{lane_width} cached batch must be byte-identical to sequential"
+            );
+        }
+    }
+}
+
 #[test]
 fn batch_is_deterministic_on_three_stage() {
     let (diagnoser, boards) = three_stage_fleet();
@@ -171,6 +224,18 @@ fn warm_reuse_is_deterministic_on_three_stage() {
 fn warm_reuse_is_deterministic_on_diode_net() {
     let (diagnoser, boards) = diode_fleet();
     assert_warm_reuse_matches(&diagnoser, &boards);
+}
+
+#[test]
+fn lane_batches_are_deterministic_on_three_stage() {
+    let (diagnoser, boards) = three_stage_fleet();
+    assert_lanes_match(&diagnoser, &boards, &[2, 3, 64]);
+}
+
+#[test]
+fn lane_batches_are_deterministic_on_diode_net() {
+    let (diagnoser, boards) = diode_fleet();
+    assert_lanes_match(&diagnoser, &boards, &[2, 3, 64]);
 }
 
 #[test]
