@@ -218,8 +218,7 @@ impl FuzzyAtms {
         let mut ns = self.nogoods.clone();
         ns.sort_by(|a, b| {
             b.degree
-                .partial_cmp(&a.degree)
-                .expect("degrees are finite")
+                .total_cmp(&a.degree)
                 .then_with(|| a.env.cmp(&b.env))
         });
         ns
@@ -341,8 +340,7 @@ impl FuzzyAtms {
     fn rank(out: &mut [RankedDiagnosis]) {
         out.sort_by(|p, q| {
             q.degree
-                .partial_cmp(&p.degree)
-                .expect("degrees are finite")
+                .total_cmp(&p.degree)
                 .then_with(|| p.env.len().cmp(&q.env.len()))
                 .then_with(|| p.env.cmp(&q.env))
         });
@@ -445,6 +443,41 @@ impl FuzzyAtms {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sorted_nogoods_orders_nan_degrees_without_panicking() {
+        let mut atms = FuzzyAtms::new();
+        let a = atms.add_assumption();
+        let b = atms.add_assumption();
+        atms.add_nogood(&Env::singleton(a), 0.5);
+        // `add_nogood` clamps with `min`, which drops a NaN; install one
+        // directly, as a NaN reaching the store would be.
+        atms.install_nogood(&Env::singleton(b), f64::NAN);
+        let sorted = atms.sorted_nogoods();
+        assert_eq!(sorted.len(), 2);
+        assert!(sorted[0].degree.is_nan());
+        assert_eq!(sorted[1].degree, 0.5);
+    }
+
+    #[test]
+    fn rank_orders_nan_degrees_without_panicking() {
+        let mut atms = FuzzyAtms::new();
+        let a = atms.add_assumption();
+        let b = atms.add_assumption();
+        let mut ranked = vec![
+            RankedDiagnosis {
+                env: Env::singleton(a),
+                degree: 0.5,
+            },
+            RankedDiagnosis {
+                env: Env::singleton(b),
+                degree: f64::NAN,
+            },
+        ];
+        FuzzyAtms::rank(&mut ranked);
+        assert!(ranked[0].degree.is_nan());
+        assert_eq!(ranked[1].env, Env::singleton(a));
+    }
 
     #[test]
     fn tnorm_combines() {

@@ -15,7 +15,8 @@
 //! Before any timing, the gate asserts the three paths produce
 //! byte-identical reports (warm/batch determinism is the refactor's core
 //! invariant). The gated warm-versus-cold ratio is timed with
-//! [`Harness::bench_pair`] (interleaved rounds). Writes
+//! [`Harness::bench_pair`] (interleaved rounds), and so is the
+//! reported N-thread-versus-warm scaling, in a pair of its own. Writes
 //! `BENCH_batch.json` in the current directory and exits non-zero if
 //! warm-pool throughput fails the ≥ 1.5× gate.
 
@@ -180,12 +181,20 @@ fn main() {
         threads: 1,
         ns_per_batch: pair.b_ns,
     };
+    // The thread fan-out is timed against the same warm pool in its own
+    // interleaved pair: dividing it by the row above, which shares its
+    // rounds with cold runs, let the ratio swing with whatever the host
+    // did between the two timing windows.
+    let batch_pair = h.bench_pair(
+        "warm_pool_1_thread",
+        "batch_n_threads",
+        || black_box(run_warm(&mut pool, &boards)),
+        || black_box(diagnose_batch_lanes(&diagnoser, &boards, threads).expect("batch runs")),
+    );
     let batch = Row {
         name: "batch_n_threads",
         threads,
-        ns_per_batch: h.bench("batch_n_threads", || {
-            black_box(diagnose_batch_lanes(&diagnoser, &boards, threads).expect("batch runs"))
-        }),
+        ns_per_batch: batch_pair.b_ns,
     };
 
     let rows = [cold, warm, batch];
@@ -208,7 +217,7 @@ fn main() {
         })
         .collect();
     let warm_speedup = pair.a_over_b;
-    let parallel_scaling = rows[2].boards_per_sec() / rows[1].boards_per_sec();
+    let parallel_scaling = batch_pair.a_over_b;
 
     // Counter deltas over one untimed warm-pool pass of the fleet — the
     // live-observability column (all zeros when built without `obs`).

@@ -733,12 +733,7 @@ impl<'d> Session<'d> {
                 }
             })
             .collect();
-        out.sort_by(|p, q| {
-            q.degree
-                .partial_cmp(&p.degree)
-                .expect("finite degrees")
-                .then_with(|| p.env.cmp(&q.env))
-        });
+        rank_refined(&mut out);
         out.truncate(max_count);
         out
     }
@@ -1111,9 +1106,32 @@ pub(crate) fn fan_out<'d, T: Sync, R: Send>(
     })
 }
 
+/// The refined-candidate order: decreasing degree (a NaN degree first,
+/// never a panic), then environment.
+fn rank_refined(out: &mut [Candidate]) {
+    out.sort_by(|p, q| {
+        q.degree
+            .total_cmp(&p.degree)
+            .then_with(|| p.env.cmp(&q.env))
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn refined_order_ranks_nan_degrees_without_panicking() {
+        let candidate = |a: u32, degree: f64| Candidate {
+            members: vec![format!("C{a}")],
+            env: Env::singleton(flames_atms::Assumption(a)),
+            degree,
+        };
+        let mut out = vec![candidate(0, 0.2), candidate(1, f64::NAN), candidate(2, 0.7)];
+        rank_refined(&mut out);
+        let members: Vec<&str> = out.iter().map(|c| c.members[0].as_str()).collect();
+        assert_eq!(members, ["C1", "C2", "C0"]);
+    }
     use flames_circuit::{Fault, Net};
 
     fn divider_diagnoser() -> Diagnoser {

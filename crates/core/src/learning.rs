@@ -280,8 +280,7 @@ impl KnowledgeBase {
             .enumerate()
             .min_by(|(ai, a), (bi, b)| {
                 a.certainty
-                    .partial_cmp(&b.certainty)
-                    .expect("finite certainty")
+                    .total_cmp(&b.certainty)
                     .then(a.confirmations.cmp(&b.confirmations))
                     .then(ai.cmp(bi))
             })
@@ -296,7 +295,7 @@ impl KnowledgeBase {
 /// would let the same failure reappear at a lower score whenever another
 /// culprit sorted between its two rules.
 pub(crate) fn dedup_suggestions(out: &mut Vec<Suggestion>) {
-    out.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("finite scores"));
+    out.sort_by(|a, b| b.score.total_cmp(&a.score));
     let mut seen: Vec<(String, Option<String>)> = Vec::with_capacity(out.len());
     out.retain(|s| {
         let key = (s.culprit.clone(), s.mode.clone());
@@ -327,6 +326,41 @@ mod tests {
             direction: dir,
             severity: sev,
         }
+    }
+
+    #[test]
+    fn eviction_orders_nan_certainty_without_panicking() {
+        let mut kb = KnowledgeBase::new();
+        for (culprit, certainty) in [("R1", 0.7), ("R2", f64::NAN), ("R3", 0.4)] {
+            kb.push_rule(SymptomRule {
+                symptoms: vec![sym("V1", Direction::Low, Severity::Total)],
+                culprit: culprit.to_owned(),
+                mode: None,
+                certainty,
+                confirmations: 1,
+            });
+        }
+        // NaN orders above every number, so the weakest is still R3.
+        assert_eq!(kb.evict_weakest().map(|r| r.culprit), Some("R3".into()));
+        assert_eq!(kb.len(), 2);
+    }
+
+    #[test]
+    fn suggestion_dedup_orders_nan_scores_without_panicking() {
+        let suggestion = |culprit: &str, score: f64| Suggestion {
+            culprit: culprit.to_owned(),
+            mode: None,
+            score,
+        };
+        let mut out = vec![
+            suggestion("R1", 0.4),
+            suggestion("R2", f64::NAN),
+            suggestion("R1", 0.9),
+        ];
+        dedup_suggestions(&mut out);
+        let culprits: Vec<&str> = out.iter().map(|s| s.culprit.as_str()).collect();
+        assert_eq!(culprits, ["R2", "R1"]);
+        assert_eq!(out[1].score, 0.9);
     }
 
     #[test]

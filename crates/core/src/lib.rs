@@ -71,7 +71,7 @@ pub use error::CoreError;
 pub use flames::{DiagnosisOutcome, Flames, FlamesConfig};
 pub use rule_store::{
     board_symptoms, diagnose_batch_lanes_cached, rule_hit_report, CacheConfig, CacheDecision,
-    CachedReport, RuleProvenance, RuleSnapshot, RuleStore,
+    CachedReport, GradedBoard, RuleProvenance, RuleSnapshot, RuleStore,
 };
 pub use shard::{ShardReport, ShardedModel, ShardedSession};
 

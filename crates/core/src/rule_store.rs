@@ -256,7 +256,7 @@ impl RuleSnapshot {
                     epoch: self.epoch,
                 })
             })
-            .max_by(|a, b| a.score.partial_cmp(&b.score).expect("finite scores"));
+            .max_by(|a, b| a.score.total_cmp(&b.score));
         match provenance {
             Some(p) => CacheDecision::Hit(p),
             None => CacheDecision::Fallback,
@@ -574,6 +574,46 @@ pub fn board_symptoms(diagnoser: &Diagnoser, board: &Board) -> crate::Result<Vec
     Ok(point_symptoms(&board_points(diagnoser, board)?))
 }
 
+/// One board graded against the compiled nominal predictions, without
+/// propagation: its report points and the [`Symptom`]s they discretize
+/// to. The rule-first path grades a board once, consults the store with
+/// [`GradedBoard::symptoms`], and on a hit builds the report from the
+/// same points ([`GradedBoard::into_hit_report`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct GradedBoard {
+    /// The report points, measured straight from the board's readings
+    /// (last write wins on a twice-measured point).
+    points: Vec<PointReport>,
+    /// The symptom set of `points`.
+    symptoms: Vec<Symptom>,
+}
+
+impl GradedBoard {
+    /// Grades every measured point of `board`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::CoreError::UnknownName`] for an out-of-range
+    /// point index, exactly as [`crate::Session::measure_point`] would.
+    pub fn new(diagnoser: &Diagnoser, board: &Board) -> crate::Result<Self> {
+        let points = board_points(diagnoser, board)?;
+        let symptoms = point_symptoms(&points);
+        Ok(Self { points, symptoms })
+    }
+
+    /// The board's symptom set, as [`board_symptoms`] returns it.
+    #[must_use]
+    pub fn symptoms(&self) -> &[Symptom] {
+        &self.symptoms
+    }
+
+    /// The hit-path report of these points (see [`rule_hit_report`]).
+    #[must_use]
+    pub fn into_hit_report(self, hit: &RuleProvenance) -> Report {
+        hit_report(self.points, hit)
+    }
+}
+
 /// The report points of one board, measured straight from its readings
 /// (no propagation): last write wins on a twice-measured point.
 fn board_points(diagnoser: &Diagnoser, board: &Board) -> crate::Result<Vec<PointReport>> {
@@ -589,6 +629,20 @@ fn board_points(diagnoser: &Diagnoser, board: &Board) -> crate::Result<Vec<Point
     Ok(diagnoser.point_reports(&measured))
 }
 
+fn hit_report(points: Vec<PointReport>, hit: &RuleProvenance) -> Report {
+    let candidate = Candidate {
+        members: vec![hit.culprit.clone()],
+        env: Env::empty(),
+        degree: hit.score,
+    };
+    Report {
+        points,
+        nogoods: Vec::new(),
+        candidates: vec![candidate.clone()],
+        refined: vec![candidate],
+    }
+}
+
 /// A [`Report`] plus the rule that produced it, when the cache did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedReport {
@@ -601,9 +655,9 @@ pub struct CachedReport {
 
 /// Builds the hit-path report: points graded exactly as the full report
 /// grades them, no nogoods (propagation never ran), and the rule's
-/// culprit as the single candidate at the suggestion score. Public so
-/// the serving layer's wave loop can short-circuit without re-deriving
-/// the report shape.
+/// culprit as the single candidate at the suggestion score. A caller
+/// that already graded the board for [`RuleSnapshot::decide`] should
+/// use [`GradedBoard::into_hit_report`] instead of grading it again.
 ///
 /// # Panics
 ///
@@ -612,17 +666,7 @@ pub struct CachedReport {
 #[must_use]
 pub fn rule_hit_report(diagnoser: &Diagnoser, board: &Board, hit: &RuleProvenance) -> Report {
     let points = board_points(diagnoser, board).expect("a hit board passed board_symptoms");
-    let candidate = Candidate {
-        members: vec![hit.culprit.clone()],
-        env: Env::empty(),
-        degree: hit.score,
-    };
-    Report {
-        points,
-        nogoods: Vec::new(),
-        candidates: vec![candidate.clone()],
-        refined: vec![candidate],
-    }
+    hit_report(points, hit)
 }
 
 /// [`diagnose_batch_lanes`] behind the rule-first cache.
@@ -667,12 +711,12 @@ pub fn diagnose_batch_lanes_cached(
     let mut miss_boards: Vec<Board> = Vec::new();
     let mut miss_slots: Vec<usize> = Vec::new();
     for (i, board) in boards.iter().enumerate() {
-        let symptoms = board_symptoms(diagnoser, board)?;
-        match snapshot.decide(&symptoms, config) {
+        let graded = GradedBoard::new(diagnoser, board)?;
+        match snapshot.decide(graded.symptoms(), config) {
             CacheDecision::Hit(hit) => {
                 metrics.learn_hit.incr();
                 out[i] = Some(CachedReport {
-                    report: rule_hit_report(diagnoser, board, &hit),
+                    report: graded.into_hit_report(&hit),
                     provenance: Some(hit),
                 });
             }
@@ -743,6 +787,40 @@ mod tests {
             None,
         );
         kb
+    }
+
+    #[test]
+    fn decide_ranks_nan_scores_without_panicking() {
+        // Two rules for the same failure, both matching: the provenance
+        // pick compares their (NaN) scores.
+        let mut kb = KnowledgeBase::new();
+        for symptoms in [
+            vec![sym("V1", Direction::Low, Severity::Total)],
+            vec![
+                sym("V1", Direction::Low, Severity::Total),
+                sym("V2", Direction::High, Severity::Slight),
+            ],
+        ] {
+            kb.push_rule(SymptomRule {
+                symptoms,
+                culprit: "R3".to_owned(),
+                mode: None,
+                certainty: f64::NAN,
+                confirmations: 1,
+            });
+        }
+        let snapshot = RuleSnapshot::build(&kb, 0);
+        let observed = [
+            sym("V1", Direction::Low, Severity::Total),
+            sym("V2", Direction::High, Severity::Slight),
+        ];
+        match snapshot.decide(&observed, &CacheConfig::default()) {
+            CacheDecision::Hit(hit) => {
+                assert_eq!(hit.culprit, "R3");
+                assert!(hit.score.is_nan());
+            }
+            other => panic!("expected a hit, got {other:?}"),
+        }
     }
 
     #[test]

@@ -399,8 +399,7 @@ pub fn recommend_with_memo(
         .collect();
     out.sort_by(|a, b| {
         a.score
-            .partial_cmp(&b.score)
-            .expect("finite scores")
+            .total_cmp(&b.score)
             .then_with(|| a.point.cmp(&b.point))
     });
     out
@@ -521,8 +520,7 @@ pub fn recommend_oracle(
     }
     out.sort_by(|a, b| {
         a.score
-            .partial_cmp(&b.score)
-            .expect("finite scores")
+            .total_cmp(&b.score)
             .then_with(|| a.point.cmp(&b.point))
     });
     out
@@ -718,6 +716,32 @@ mod tests {
         ];
         let d = Diagnoser::from_netlist(&nl, points, DiagnoserConfig::default()).unwrap();
         (nl, d)
+    }
+
+    /// [`two_branch`] with a NaN probing cost on `Vb`, so its score is
+    /// NaN at any cost weight.
+    fn nan_cost_branch() -> Diagnoser {
+        let (nl, d) = two_branch();
+        let mut points = d.test_points().to_vec();
+        points[1].cost = f64::NAN;
+        Diagnoser::from_netlist(&nl, points, DiagnoserConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn recommend_orders_nan_scores_without_panicking() {
+        let d = nan_cost_branch();
+        let choices = recommend(&d.session(), Policy::FuzzyEntropy, 0.0);
+        let names: Vec<&str> = choices.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["Va", "Vb"]);
+        assert!(choices[1].score.is_nan());
+    }
+
+    #[test]
+    fn recommend_oracle_orders_nan_scores_without_panicking() {
+        let d = nan_cost_branch();
+        let choices = recommend_oracle(&d.session(), Policy::FuzzyEntropy, 0.0);
+        let names: Vec<&str> = choices.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["Va", "Vb"]);
     }
 
     #[test]

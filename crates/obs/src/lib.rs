@@ -1,6 +1,6 @@
 //! Dependency-free observability for the FLAMES stack.
 //!
-//! Three layers, all free of external crates:
+//! Four layers, all free of external crates:
 //!
 //! * **Counters** ([`Counter`], [`Gauge`]) — relaxed atomics behind the
 //!   `enabled` feature. With the feature off both types are zero-sized
@@ -15,8 +15,12 @@
 //! * **Traces** ([`Trace`], [`TraceEvent`]) — span/instant events on a
 //!   deterministic *logical* clock, exportable as Chrome `trace_event`
 //!   JSON for `about:tracing`. Always compiled (recording is runtime
-//!   opt-in and never sits on a hot path); [`json`] holds a minimal
-//!   parser used to validate exported traces in tests.
+//!   opt-in and never sits on a hot path).
+//! * **JSON** ([`json`]) — the workspace's one JSON grammar, a byte
+//!   cursor that the service's request parser walks directly and that
+//!   [`json::parse`] uses to build value trees, plus the buffer writers
+//!   ([`json::push_f64`], [`json::push_escaped`]) every exporter and
+//!   the service's responses render through.
 
 pub mod counter;
 pub mod json;

@@ -12,7 +12,7 @@
 //! (the `{"traceEvents": [...]}` object form) accepted by
 //! `about:tracing` and Perfetto.
 
-use std::fmt::Write as _;
+use crate::json::{push_escaped, push_f64, push_u64};
 
 /// A typed event argument (rendered into the `args` object).
 #[derive(Debug, Clone, PartialEq)]
@@ -137,7 +137,8 @@ impl Trace {
         &self.events
     }
 
-    /// Renders the Chrome `trace_event` object form.
+    /// Renders the Chrome `trace_event` object form, every event on
+    /// `tid` 1.
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("{\"traceEvents\":[");
@@ -145,70 +146,53 @@ impl Trace {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":1,\"tid\":1,\"ts\":{}",
-                escape_json(&ev.name),
-                ev.cat,
-                ev.ph,
-                ev.ts
-            );
-            if ev.ph == 'X' {
-                let _ = write!(out, ",\"dur\":{}", ev.dur);
-            }
-            out.push_str(",\"args\":{");
-            for (j, (key, value)) in ev.args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:", escape_json(key));
-                match value {
-                    ArgValue::U64(v) => {
-                        let _ = write!(out, "{v}");
-                    }
-                    ArgValue::F64(v) => {
-                        if v.is_finite() {
-                            let mut s = format!("{v}");
-                            // `{}` on an integral f64 prints "1", which
-                            // is still valid JSON, but keep the type
-                            // visible for trace viewers.
-                            if !s.contains('.') && !s.contains('e') {
-                                s.push_str(".0");
-                            }
-                            out.push_str(&s);
-                        } else {
-                            let _ = write!(out, "\"{v}\"");
-                        }
-                    }
-                    ArgValue::Str(v) => out.push_str(&escape_json(v)),
-                }
-            }
-            out.push_str("}}");
+            push_chrome_event(&mut out, ev, 1);
         }
         out.push_str("]}");
         out
     }
 }
 
-/// JSON-escapes a string, including the surrounding quotes.
+/// Appends one event as a Chrome `trace_event` object on thread `tid`
+/// (process 1). Floats in `args` go through [`push_f64`], so an
+/// integral value keeps a visible `.0` for trace viewers.
+pub fn push_chrome_event(out: &mut String, ev: &TraceEvent, tid: u64) {
+    out.push_str("{\"name\":");
+    push_escaped(out, &ev.name);
+    out.push_str(",\"cat\":\"");
+    out.push_str(ev.cat);
+    out.push_str("\",\"ph\":\"");
+    out.push(ev.ph);
+    out.push_str("\",\"pid\":1,\"tid\":");
+    push_u64(out, tid);
+    out.push_str(",\"ts\":");
+    push_u64(out, ev.ts);
+    if ev.ph == 'X' {
+        out.push_str(",\"dur\":");
+        push_u64(out, ev.dur);
+    }
+    out.push_str(",\"args\":{");
+    for (j, (key, value)) in ev.args.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        push_escaped(out, key);
+        out.push(':');
+        match value {
+            ArgValue::U64(v) => push_u64(out, *v),
+            ArgValue::F64(v) => push_f64(out, *v),
+            ArgValue::Str(v) => push_escaped(out, v),
+        }
+    }
+    out.push_str("}}");
+}
+
+/// JSON-escapes a string, including the surrounding quotes (see
+/// [`push_escaped`], which appends to a buffer instead).
 #[must_use]
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_escaped(&mut out, s);
     out
 }
 

@@ -1,10 +1,12 @@
 //! The wire protocol of the diagnosis service.
 //!
-//! Requests and responses are JSON; parsing reuses the zero-dep
-//! [`flames_obs::json`] parser and rendering is hand-written so the
-//! bytes are a *pure function* of the diagnosis content. That purity is
-//! what the end-to-end suite pins: a board served over the socket must
-//! render byte-identically to the same board diagnosed in process.
+//! Requests and responses are JSON. Parsing walks the body once with
+//! the zero-dep [`flames_obs::json::Cursor`], collecting boards without
+//! building a value tree; rendering is hand-written, into one buffer
+//! per response, so the bytes are a *pure function* of the diagnosis
+//! content. That purity is what the end-to-end suite pins: a board
+//! served over the socket must render byte-identically to the same
+//! board diagnosed in process.
 //!
 //! `POST /diagnose` accepts
 //!
@@ -34,9 +36,10 @@ use crate::error::ServeError;
 use crate::wave::{BoardOutcome, NextProbe};
 use flames_core::{Board, Candidate, Diagnoser, Report, RuleProvenance};
 use flames_fuzzy::{Direction, FuzzyInterval};
-use flames_obs::json::{parse, Value};
-use flames_obs::trace::escape_json;
-use std::fmt::Write as _;
+#[cfg(test)]
+use flames_obs::json::parse;
+use flames_obs::json::{push_escaped, push_f64, push_u64, Cursor};
+use std::borrow::Cow;
 
 /// Most boards accepted in one request — one request must fit one
 /// wave, and the queue bounds a wave at this many boards so the work a
@@ -58,55 +61,60 @@ pub struct DiagnoseRequest {
 /// Parses and validates a `/diagnose` body against a diagnoser's
 /// test-point table.
 ///
+/// One [`Cursor`] walk over the body collects the boards, resolved
+/// test-point indices and fuzzy intervals directly; no value tree is
+/// built. The walk visits every byte, so a syntax error anywhere wins,
+/// as it would in a full parse. Schema errors are held back until the
+/// walk ends and then reported in a fixed order: the `boards` member
+/// (present, an array, non-empty, at most [`MAX_BOARDS_PER_REQUEST`]),
+/// then each board and measurement in document order, then
+/// `deadline_ms`, then `next_probe`. A key that appears twice counts at
+/// its first occurrence; keys and names compare by their decoded text.
+///
 /// # Errors
 ///
 /// Returns a 400 [`ServeError`] naming the first malformed field —
 /// clients get the byte offset for syntax errors and the offending
 /// member for schema errors.
 pub fn parse_diagnose(body: &str, diagnoser: &Diagnoser) -> Result<DiagnoseRequest, ServeError> {
-    let root = parse(body).map_err(|e| ServeError::bad_request(format!("malformed JSON: {e}")))?;
-    let boards_v = root
-        .member("boards")
-        .ok_or_else(|| ServeError::bad_request("missing \"boards\" member"))?
-        .as_array()
-        .ok_or_else(|| ServeError::bad_request("\"boards\" must be an array"))?;
-    if boards_v.is_empty() {
+    let mut cur = Cursor::new(body);
+    let walk = walk_request(&mut cur, diagnoser)
+        .and_then(|walk| cur.finish().map(|()| walk))
+        .map_err(|e| ServeError::bad_request(format!("malformed JSON: {e}")))?;
+    let BoardsWalk {
+        boards,
+        count,
+        error,
+    } = match walk.boards {
+        None => return Err(ServeError::bad_request("missing \"boards\" member")),
+        Some(None) => return Err(ServeError::bad_request("\"boards\" must be an array")),
+        Some(Some(boards)) => boards,
+    };
+    if count == 0 {
         return Err(ServeError::bad_request("\"boards\" must not be empty"));
     }
-    if boards_v.len() > MAX_BOARDS_PER_REQUEST {
+    if count > MAX_BOARDS_PER_REQUEST {
         return Err(ServeError::bad_request(format!(
-            "at most {MAX_BOARDS_PER_REQUEST} boards per request, got {}",
-            boards_v.len()
+            "at most {MAX_BOARDS_PER_REQUEST} boards per request, got {count}"
         )));
     }
-    let mut boards = Vec::with_capacity(boards_v.len());
-    for (bi, board_v) in boards_v.iter().enumerate() {
-        let measurements = board_v
-            .as_array()
-            .ok_or_else(|| ServeError::bad_request(format!("board {bi} must be an array")))?;
-        let mut board: Board = Vec::with_capacity(measurements.len());
-        for (mi, m) in measurements.iter().enumerate() {
-            board.push(parse_measurement(m, diagnoser).map_err(|e| {
-                ServeError::bad_request(format!("board {bi}, measurement {mi}: {}", e.message))
-            })?);
-        }
-        boards.push(board);
+    if let Some(e) = error {
+        return Err(e);
     }
-    let deadline_ms = match root.member("deadline_ms") {
+    let deadline_ms = match walk.deadline_ms {
         None => None,
         Some(v) => Some(
-            v.as_f64()
-                .filter(|d| d.is_finite() && *d >= 0.0)
+            v.filter(|d| d.is_finite() && *d >= 0.0)
                 .map(|d| d as u64)
                 .ok_or_else(|| {
                     ServeError::bad_request("\"deadline_ms\" must be a non-negative number")
                 })?,
         ),
     };
-    let next_probe = match root.member("next_probe") {
+    let next_probe = match walk.next_probe {
         None => true,
-        Some(Value::Bool(b)) => *b,
-        Some(_) => return Err(ServeError::bad_request("\"next_probe\" must be a boolean")),
+        Some(Some(b)) => b,
+        Some(None) => return Err(ServeError::bad_request("\"next_probe\" must be a boolean")),
     };
     Ok(DiagnoseRequest {
         boards,
@@ -115,97 +123,283 @@ pub fn parse_diagnose(body: &str, diagnoser: &Diagnoser) -> Result<DiagnoseReque
     })
 }
 
+/// What one walk over a request body found. `None` is an absent
+/// member; an inner `None` is a member of the wrong type.
+struct RequestWalk {
+    boards: Option<Option<BoardsWalk>>,
+    deadline_ms: Option<Option<f64>>,
+    next_probe: Option<Option<bool>>,
+}
+
+/// What the walk found in the `boards` array.
+struct BoardsWalk {
+    /// The boards read, up to the first schema error.
+    boards: Vec<Board>,
+    /// The element count.
+    count: usize,
+    /// The first schema error of a board or measurement.
+    error: Option<ServeError>,
+}
+
+/// The outer `Result` of the walkers is the syntax verdict (a cursor
+/// message); the inner one carries a schema error.
+type Walked<T> = Result<T, String>;
+
+fn walk_request(cur: &mut Cursor<'_>, diagnoser: &Diagnoser) -> Walked<RequestWalk> {
+    let mut walk = RequestWalk {
+        boards: None,
+        deadline_ms: None,
+        next_probe: None,
+    };
+    if cur.peek() != Some(b'{') {
+        // Not an object: it has no "boards" member.
+        cur.skip_value()?;
+        return Ok(walk);
+    }
+    cur.begin_object()?;
+    let mut first = true;
+    while let Some(key) = cur.next_key(&mut first)? {
+        match &*key {
+            "boards" if walk.boards.is_none() => {
+                walk.boards = Some(walk_boards(cur, diagnoser)?);
+            }
+            "deadline_ms" if walk.deadline_ms.is_none() => {
+                walk.deadline_ms = Some(cur.number_or_skip()?);
+            }
+            "next_probe" if walk.next_probe.is_none() => {
+                walk.next_probe = Some(cur.bool_or_skip()?);
+            }
+            _ => cur.skip_value()?,
+        }
+    }
+    Ok(walk)
+}
+
+/// The `boards` array. Boards past the request limit are only checked
+/// for syntax: the count alone already rejects the request.
+fn walk_boards(cur: &mut Cursor<'_>, diagnoser: &Diagnoser) -> Walked<Option<BoardsWalk>> {
+    if cur.peek() != Some(b'[') {
+        cur.skip_value()?;
+        return Ok(None);
+    }
+    cur.begin_array()?;
+    let mut boards = Vec::new();
+    let mut count = 0;
+    let mut error = None;
+    let mut first = true;
+    while cur.next_element(&mut first)? {
+        if error.is_none() && count < MAX_BOARDS_PER_REQUEST {
+            match walk_board(cur, diagnoser, count)? {
+                Ok(board) => boards.push(board),
+                Err(e) => error = Some(e),
+            }
+        } else {
+            cur.skip_value()?;
+        }
+        count += 1;
+    }
+    Ok(Some(BoardsWalk {
+        boards,
+        count,
+        error,
+    }))
+}
+
+fn walk_board(
+    cur: &mut Cursor<'_>,
+    diagnoser: &Diagnoser,
+    bi: usize,
+) -> Walked<Result<Board, ServeError>> {
+    if cur.peek() != Some(b'[') {
+        cur.skip_value()?;
+        return Ok(Err(ServeError::bad_request(format!(
+            "board {bi} must be an array"
+        ))));
+    }
+    cur.begin_array()?;
+    let mut board: Board = Vec::new();
+    let mut error = None;
+    let mut first = true;
+    let mut mi = 0;
+    while cur.next_element(&mut first)? {
+        if error.is_none() {
+            match walk_measurement(cur, diagnoser)? {
+                Ok(m) => board.push(m),
+                Err(e) => {
+                    error = Some(ServeError::bad_request(format!(
+                        "board {bi}, measurement {mi}: {}",
+                        e.message
+                    )));
+                }
+            }
+        } else {
+            cur.skip_value()?;
+        }
+        mi += 1;
+    }
+    Ok(error.map_or(Ok(board), Err))
+}
+
+/// A measurement's `point` member.
+enum PointArg<'a> {
+    Index(f64),
+    Name(Cow<'a, str>),
+    Other,
+}
+
+/// A measurement's `value` member: a bare number, or the four
+/// trapezoid members of an object (each absent, a number, or `None`
+/// for a non-number).
+enum ValueArg {
+    Number(f64),
+    Object([Option<Option<f64>>; 4]),
+    Other,
+}
+
+/// The members of a fuzzy-interval object, in the order they are
+/// checked, with their defaults.
+const FUZZY_FIELDS: [(&str, Option<f64>); 4] = [
+    ("m1", None),
+    ("m2", None),
+    ("alpha", Some(0.0)),
+    ("beta", Some(0.0)),
+];
+
 /// One `{"point": ..., "value": ...}` measurement.
-fn parse_measurement(
-    m: &Value,
+fn walk_measurement(
+    cur: &mut Cursor<'_>,
+    diagnoser: &Diagnoser,
+) -> Walked<Result<(usize, FuzzyInterval), ServeError>> {
+    let mut point = None;
+    let mut value = None;
+    if cur.peek() == Some(b'{') {
+        cur.begin_object()?;
+        let mut first = true;
+        while let Some(key) = cur.next_key(&mut first)? {
+            match &*key {
+                "point" if point.is_none() => {
+                    point = Some(match cur.peek() {
+                        Some(b'"') => PointArg::Name(cur.string()?),
+                        Some(b) if Cursor::starts_number(b) => PointArg::Index(cur.number()?),
+                        _ => {
+                            cur.skip_value()?;
+                            PointArg::Other
+                        }
+                    });
+                }
+                "value" if value.is_none() => value = Some(walk_value(cur)?),
+                _ => cur.skip_value()?,
+            }
+        }
+    } else {
+        cur.skip_value()?;
+    }
+    Ok(resolve_measurement(point, value, diagnoser))
+}
+
+fn walk_value(cur: &mut Cursor<'_>) -> Walked<ValueArg> {
+    match cur.peek() {
+        Some(b) if Cursor::starts_number(b) => Ok(ValueArg::Number(cur.number()?)),
+        Some(b'{') => {
+            cur.begin_object()?;
+            let mut fields = [None; 4];
+            let mut first = true;
+            while let Some(key) = cur.next_key(&mut first)? {
+                match FUZZY_FIELDS.iter().position(|(name, _)| *name == key) {
+                    Some(f) if fields[f].is_none() => fields[f] = Some(cur.number_or_skip()?),
+                    _ => cur.skip_value()?,
+                }
+            }
+            Ok(ValueArg::Object(fields))
+        }
+        _ => {
+            cur.skip_value()?;
+            Ok(ValueArg::Other)
+        }
+    }
+}
+
+/// The schema checks of one measurement, in their fixed order: the
+/// point, then the value.
+fn resolve_measurement(
+    point: Option<PointArg<'_>>,
+    value: Option<ValueArg>,
     diagnoser: &Diagnoser,
 ) -> Result<(usize, FuzzyInterval), ServeError> {
-    let point_v = m
-        .member("point")
-        .ok_or_else(|| ServeError::bad_request("missing \"point\""))?;
-    let idx = match point_v {
-        Value::Number(n) => {
-            let idx = *n as usize;
-            if n.fract() != 0.0 || *n < 0.0 || idx >= diagnoser.test_points().len() {
+    let idx = match point.ok_or_else(|| ServeError::bad_request("missing \"point\""))? {
+        PointArg::Index(n) => {
+            let idx = n as usize;
+            if n.fract() != 0.0 || n < 0.0 || idx >= diagnoser.test_points().len() {
                 return Err(ServeError::bad_request(format!(
                     "test-point index {n} out of range"
                 )));
             }
             idx
         }
-        Value::String(name) => diagnoser
+        PointArg::Name(name) => diagnoser
             .test_points()
             .iter()
             .position(|tp| tp.name == *name)
-            .ok_or_else(|| ServeError::bad_request(format!("unknown test point {name:?}")))?,
-        _ => {
+            .ok_or_else(|| ServeError::bad_request(format!("unknown test point {:?}", &*name)))?,
+        PointArg::Other => {
             return Err(ServeError::bad_request(
                 "\"point\" must be a name or an index",
             ))
         }
     };
-    let value_v = m
-        .member("value")
-        .ok_or_else(|| ServeError::bad_request("missing \"value\""))?;
-    let value = parse_fuzzy(value_v)?;
+    let value = match value.ok_or_else(|| ServeError::bad_request("missing \"value\""))? {
+        ValueArg::Number(n) if n.is_finite() => FuzzyInterval::crisp(n),
+        ValueArg::Object(fields) => {
+            let mut v = [0.0; 4];
+            for (slot, (field, (name, default))) in
+                v.iter_mut().zip(fields.iter().zip(FUZZY_FIELDS))
+            {
+                *slot = match *field {
+                    Some(Some(n)) if n.is_finite() => n,
+                    None => default.ok_or_else(|| {
+                        ServeError::bad_request(format!("\"value\" missing \"{name}\""))
+                    })?,
+                    Some(_) => {
+                        return Err(ServeError::bad_request(format!(
+                            "\"value\".\"{name}\" must be a finite number"
+                        )))
+                    }
+                };
+            }
+            FuzzyInterval::new(v[0], v[1], v[2], v[3])
+                .map_err(|e| ServeError::bad_request(format!("invalid fuzzy interval: {e}")))?
+        }
+        _ => {
+            return Err(ServeError::bad_request(
+                "\"value\" must be a number or a fuzzy-interval object",
+            ))
+        }
+    };
     Ok((idx, value))
 }
 
-/// A fuzzy interval: `{"m1":..,"m2":..,"alpha":..,"beta":..}` (alpha
-/// and beta optional, default 0) or a bare number (crisp).
-fn parse_fuzzy(v: &Value) -> Result<FuzzyInterval, ServeError> {
-    match v {
-        Value::Number(n) if n.is_finite() => Ok(FuzzyInterval::crisp(*n)),
-        Value::Object(_) => {
-            let field = |name: &str, default: Option<f64>| -> Result<f64, ServeError> {
-                match v.member(name) {
-                    Some(Value::Number(n)) if n.is_finite() => Ok(*n),
-                    None => default.ok_or_else(|| {
-                        ServeError::bad_request(format!("\"value\" missing \"{name}\""))
-                    }),
-                    Some(_) => Err(ServeError::bad_request(format!(
-                        "\"value\".\"{name}\" must be a finite number"
-                    ))),
-                }
-            };
-            let m1 = field("m1", None)?;
-            let m2 = field("m2", None)?;
-            let alpha = field("alpha", Some(0.0))?;
-            let beta = field("beta", Some(0.0))?;
-            FuzzyInterval::new(m1, m2, alpha, beta)
-                .map_err(|e| ServeError::bad_request(format!("invalid fuzzy interval: {e}")))
-        }
-        _ => Err(ServeError::bad_request(
-            "\"value\" must be a number or a fuzzy-interval object",
-        )),
-    }
-}
-
-/// Renders an `f64` deterministically: shortest round-trip `{}` with a
-/// `.0` appended to integral values, so the output stays visibly a
-/// float (same convention as the trace exporter).
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let start = out.len();
-        let _ = write!(out, "{v}");
-        if !out[start..].contains('.') && !out[start..].contains('e') {
-            out.push_str(".0");
-        }
-    } else {
-        let _ = write!(out, "\"{v}\"");
-    }
-}
-
+/// Renders a trapezoid. A crisp core (`m1 == m2`) and a symmetric
+/// spread (`alpha == beta`) are common, so a column equal to the one
+/// before it copies that column's text instead of formatting it again.
 fn push_interval(out: &mut String, v: &FuzzyInterval) {
     out.push_str("{\"m1\":");
-    push_f64(out, v.core_lo());
-    out.push_str(",\"m2\":");
-    push_f64(out, v.core_hi());
+    push_column_pair(out, v.core_lo(), ",\"m2\":", v.core_hi());
     out.push_str(",\"alpha\":");
-    push_f64(out, v.spread_left());
-    out.push_str(",\"beta\":");
-    push_f64(out, v.spread_right());
+    push_column_pair(out, v.spread_left(), ",\"beta\":", v.spread_right());
     out.push('}');
+}
+
+/// `first`, the `between` text, then `second`.
+fn push_column_pair(out: &mut String, first: f64, between: &str, second: f64) {
+    let start = out.len();
+    push_f64(out, first);
+    let end = out.len();
+    out.push_str(between);
+    if first.to_bits() == second.to_bits() {
+        out.extend_from_within(start..end);
+    } else {
+        push_f64(out, second);
+    }
 }
 
 fn direction_str(d: Direction) -> &'static str {
@@ -227,7 +421,7 @@ fn push_candidates(out: &mut String, candidates: &[Candidate]) {
             if j > 0 {
                 out.push(',');
             }
-            out.push_str(&escape_json(m));
+            push_escaped(out, m);
         }
         out.push_str("],\"degree\":");
         push_f64(out, c.degree);
@@ -237,35 +431,52 @@ fn push_candidates(out: &mut String, candidates: &[Candidate]) {
 }
 
 /// Renders one board's diagnosis — the [`Report`] plus the recommended
-/// next probe — as a JSON object. Shared by the server and the
-/// in-process parity tests: equality of these bytes *is* the service's
-/// determinism contract. A `"rule_provenance"` member is appended
-/// *only* for boards served by the learned-rule fast path, so
-/// model-path responses are byte-for-byte what a cache-less server
-/// sends.
+/// next probe — as a JSON object. The server renders through
+/// [`render_board_into`], the in-process parity tests through this:
+/// equality of these bytes *is* the service's determinism contract. A
+/// `"rule_provenance"` member is appended *only* for boards served by
+/// the learned-rule fast path, so model-path responses are
+/// byte-for-byte what a cache-less server sends.
 #[must_use]
 pub fn render_board(
     report: &Report,
     next_probe: Option<&NextProbe>,
     provenance: Option<&RuleProvenance>,
 ) -> String {
-    let mut out = String::with_capacity(512);
+    let mut out = String::with_capacity(BOARD_BYTES_HINT);
+    render_board_into(&mut out, report, next_probe, provenance);
+    out
+}
+
+/// Bytes reserved per board when a buffer is sized up front: a rule-hit
+/// board of the three-stage amplifier renders to about 1050.
+pub(crate) const BOARD_BYTES_HINT: usize = 1152;
+
+/// [`render_board`] appending to `out`, so a whole response renders
+/// into one buffer: numbers through [`push_f64`] and [`push_u64`],
+/// strings escaped in place.
+pub fn render_board_into(
+    out: &mut String,
+    report: &Report,
+    next_probe: Option<&NextProbe>,
+    provenance: Option<&RuleProvenance>,
+) {
     out.push_str("{\"points\":[");
     for (i, p) in report.points.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        out.push_str(&escape_json(&p.name));
+        push_escaped(out, &p.name);
         out.push_str(",\"predicted\":");
-        push_interval(&mut out, &p.predicted);
+        push_interval(out, &p.predicted);
         if let Some(m) = &p.measured {
             out.push_str(",\"measured\":");
-            push_interval(&mut out, m);
+            push_interval(out, m);
         }
         if let Some(dc) = &p.consistency {
             out.push_str(",\"dc\":");
-            push_f64(&mut out, dc.degree());
+            push_f64(out, dc.degree());
             out.push_str(",\"direction\":\"");
             out.push_str(direction_str(dc.direction()));
             out.push('"');
@@ -278,63 +489,69 @@ pub fn render_board(
             out.push(',');
         }
         out.push_str("{\"set\":");
-        out.push_str(&escape_json(set));
+        push_escaped(out, set);
         out.push_str(",\"degree\":");
-        push_f64(&mut out, *degree);
+        push_f64(out, *degree);
         out.push('}');
     }
     out.push_str("],\"candidates\":");
-    push_candidates(&mut out, &report.candidates);
+    push_candidates(out, &report.candidates);
     out.push_str(",\"refined\":");
-    push_candidates(&mut out, &report.refined);
+    push_candidates(out, &report.refined);
     out.push_str(",\"next_probe\":");
     match next_probe {
         Some(np) => {
             out.push_str("{\"point\":");
-            let _ = write!(out, "{}", np.point);
+            push_u64(out, np.point as u64);
             out.push_str(",\"name\":");
-            out.push_str(&escape_json(&np.name));
+            push_escaped(out, &np.name);
             out.push_str(",\"score\":");
-            push_f64(&mut out, np.score);
+            push_f64(out, np.score);
             out.push('}');
         }
         None => out.push_str("null"),
     }
     if let Some(p) = provenance {
         out.push_str(",\"rule_provenance\":{\"culprit\":");
-        out.push_str(&escape_json(&p.culprit));
+        push_escaped(out, &p.culprit);
         out.push_str(",\"mode\":");
         match &p.mode {
-            Some(m) => out.push_str(&escape_json(m)),
+            Some(m) => push_escaped(out, m),
             None => out.push_str("null"),
         }
         out.push_str(",\"score\":");
-        push_f64(&mut out, p.score);
+        push_f64(out, p.score);
         out.push_str(",\"certainty\":");
-        push_f64(&mut out, p.certainty);
-        let _ = write!(
-            out,
-            ",\"confirmations\":{},\"matched\":{},\"rule_size\":{},\"epoch\":{}}}",
-            p.confirmations, p.matched, p.rule_size, p.epoch
-        );
+        push_f64(out, p.certainty);
+        for (name, v) in [
+            (",\"confirmations\":", u64::from(p.confirmations)),
+            (",\"matched\":", u64::from(p.matched)),
+            (",\"rule_size\":", u64::from(p.rule_size)),
+            (",\"epoch\":", p.epoch),
+        ] {
+            out.push_str(name);
+            push_u64(out, v);
+        }
+        out.push('}');
     }
     out.push('}');
-    out
 }
 
 /// Renders the full 200 body for a request's board outcomes.
 #[must_use]
 pub fn render_response(outcomes: &[BoardOutcome]) -> String {
-    let mut out = String::from("{\"boards\":[");
+    let mut out = String::with_capacity(16 + outcomes.len() * BOARD_BYTES_HINT);
+    out.push_str("{\"boards\":[");
     for (i, o) in outcomes.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&render_board(
+        render_board_into(
+            &mut out,
             &o.report,
             o.next_probe.as_ref(),
             o.provenance.as_ref(),
-        ));
+        );
     }
     out.push_str("]}");
     out

@@ -15,7 +15,7 @@
 
 use crate::error::ServeError;
 use crate::http::{read_request, write_response, ReadLimits, ReadOutcome, Request};
-use crate::protocol::{parse_diagnose, render_board};
+use crate::protocol::{parse_diagnose, render_board_into, BOARD_BYTES_HINT};
 use crate::queue::{Job, JobQueue};
 use crate::wave::{replay_traces, run_wave_cached, traces_to_chrome_json};
 use flames_core::{Board, CacheConfig, Diagnoser, RuleStore, SessionPool};
@@ -418,7 +418,8 @@ fn batcher_loop(shared: &Shared) {
                     // A request that declined recommendations renders
                     // its boards without them, even when a coalesced
                     // duplicate asked (the report bytes are shared).
-                    let mut rendered = String::from("{\"boards\":[");
+                    let mut rendered = String::with_capacity(16 + slice.len() * BOARD_BYTES_HINT);
+                    rendered.push_str("{\"boards\":[");
                     for (i, o) in slice.iter().enumerate() {
                         if i > 0 {
                             rendered.push(',');
@@ -428,7 +429,7 @@ fn batcher_loop(shared: &Shared) {
                         } else {
                             None
                         };
-                        rendered.push_str(&render_board(&o.report, probe, o.provenance.as_ref()));
+                        render_board_into(&mut rendered, &o.report, probe, o.provenance.as_ref());
                     }
                     rendered.push_str("]}");
                     // Into the ring before the reply, so a client that

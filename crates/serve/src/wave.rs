@@ -13,9 +13,10 @@
 
 use flames_core::strategy::{recommend, Policy};
 use flames_core::{
-    board_symptoms, rule_hit_report, Board, CacheConfig, CacheDecision, Diagnoser, Report, Result,
-    RuleProvenance, RuleStore, Session, SessionPool,
+    Board, CacheConfig, CacheDecision, Diagnoser, GradedBoard, Report, Result, RuleProvenance,
+    RuleStore, Session, SessionPool,
 };
+use flames_obs::trace::push_chrome_event;
 use flames_obs::Trace;
 use std::collections::HashMap;
 
@@ -143,12 +144,12 @@ pub fn run_wave_cached<'d>(
         let diagnoser = pool.diagnoser();
         let metrics = flames_obs::metrics();
         for (slot, board) in unique_boards.iter().enumerate() {
-            let symptoms = board_symptoms(diagnoser, board)?;
-            match snapshot.decide(&symptoms, config) {
+            let graded = GradedBoard::new(diagnoser, board)?;
+            match snapshot.decide(graded.symptoms(), config) {
                 CacheDecision::Hit(hit) => {
                     metrics.learn_hit.incr();
                     unique_outcomes[slot] = Some(BoardOutcome {
-                        report: rule_hit_report(diagnoser, board, &hit),
+                        report: graded.into_hit_report(&hit),
                         next_probe: None,
                         provenance: Some(hit),
                     });
@@ -194,13 +195,24 @@ pub fn run_wave_cached<'d>(
             provenance: None,
         });
     }
-    let unique_outcomes: Vec<BoardOutcome> = unique_outcomes
-        .into_iter()
-        .map(|o| o.expect("every unique board served"))
-        .collect();
+    // Fan out: a duplicate gets a clone, and each unique outcome moves
+    // into the last board that shares it.
+    let mut last_use = vec![0; unique_outcomes.len()];
+    for (i, &slot) in slot_of.iter().enumerate() {
+        last_use[slot] = i;
+    }
     Ok(slot_of
-        .into_iter()
-        .map(|slot| unique_outcomes[slot].clone())
+        .iter()
+        .enumerate()
+        .map(|(i, &slot)| {
+            let outcome = &mut unique_outcomes[slot];
+            if last_use[slot] == i {
+                outcome.take()
+            } else {
+                outcome.clone()
+            }
+            .expect("every unique board served")
+        })
         .collect())
 }
 
@@ -294,9 +306,6 @@ pub fn replay_traces(
 /// propagation-heavy board's document runs to megabytes).
 #[must_use]
 pub fn traces_to_chrome_json(traces: &[Trace]) -> String {
-    use flames_obs::trace::escape_json;
-    use flames_obs::ArgValue;
-    use std::fmt::Write as _;
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
     for (board, trace) in traces.iter().enumerate() {
@@ -305,43 +314,7 @@ pub fn traces_to_chrome_json(traces: &[Trace]) -> String {
                 out.push(',');
             }
             first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{}",
-                escape_json(&ev.name),
-                ev.cat,
-                ev.ph,
-                board + 1,
-                ev.ts
-            );
-            if ev.ph == 'X' {
-                let _ = write!(out, ",\"dur\":{}", ev.dur);
-            }
-            out.push_str(",\"args\":{");
-            for (j, (key, value)) in ev.args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:", escape_json(key));
-                match value {
-                    ArgValue::U64(v) => {
-                        let _ = write!(out, "{v}");
-                    }
-                    ArgValue::F64(v) => {
-                        if v.is_finite() {
-                            let mut s = format!("{v}");
-                            if !s.contains('.') && !s.contains('e') {
-                                s.push_str(".0");
-                            }
-                            out.push_str(&s);
-                        } else {
-                            let _ = write!(out, "\"{v}\"");
-                        }
-                    }
-                    ArgValue::Str(v) => out.push_str(&escape_json(v)),
-                }
-            }
-            out.push_str("}}");
+            push_chrome_event(&mut out, ev, board as u64 + 1);
         }
     }
     out.push_str("]}");

@@ -34,6 +34,9 @@ done
 echo "==> cargo test (tier-1, incl. differential fuzzy-vs-crisp suite)"
 cargo test -q --workspace
 
+echo "==> push_f64 against format! on 10^8 random bit patterns (release; tier-1 runs 10^6)"
+cargo test -q --release --test codec_parity -- --ignored
+
 echo "==> cargo test --no-default-features (observability compiled out)"
 cargo test -q --workspace --no-default-features
 
