@@ -4,9 +4,9 @@
 //! A fleet of boards (healthy plus injected parametric drifts) is
 //! diagnosed three ways against one shared [`flames_core::CompiledModel`]:
 //!
-//! * **cold, 1 thread** — a [`Diagnoser::cold_session`] per board: the
-//!   pre-compile behaviour, re-deriving the constraint schedule, the
-//!   assumption vocabulary, and every environment per session;
+//! * **cold, 1 thread** — a [`Diagnoser::cold_session`] per board: each
+//!   session runs the board-independent seed fixpoint live instead of
+//!   restoring the model's snapshot of it;
 //! * **warm pool, 1 thread** — a [`flames_core::SessionPool`] recycling
 //!   reset sessions, so steady-state boards pay no rebuild;
 //! * **N threads** — [`flames_core::diagnose_batch_lanes`] over
@@ -137,7 +137,7 @@ fn main() {
     assert_eq!(
         format!("{:?}", run_cold(&diagnoser, &boards)),
         reference,
-        "legacy per-session rebuild must match the compiled path"
+        "the live seed fixpoint must match the snapshot restore"
     );
     let mut pool = SessionPool::new(&diagnoser);
     assert_eq!(

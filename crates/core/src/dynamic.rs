@@ -18,7 +18,7 @@
 //! require complex-valued fuzzy arithmetic, which the paper does not
 //! describe either.
 
-use crate::engine::Candidate;
+use crate::engine::{rank_refined, Candidate};
 use crate::Result;
 use flames_atms::{Assumption, AssumptionPool, Env, FuzzyAtms, RankedDiagnosis};
 use flames_circuit::ac::solve_ac;
@@ -329,12 +329,7 @@ impl AcSession<'_> {
                 }
             })
             .collect();
-        out.sort_by(|p, q| {
-            q.degree
-                .partial_cmp(&p.degree)
-                .expect("finite degrees")
-                .then_with(|| p.env.cmp(&q.env))
-        });
+        rank_refined(&mut out);
         out.truncate(max_count);
         out
     }
@@ -400,8 +395,9 @@ impl AcSession<'_> {
     }
 
     /// Recommends the next best AC probe by expected fuzzy entropy (§8),
-    /// ranked best first; `lambda_cost` weighs the probing cost in.
-    /// Probed points are skipped.
+    /// ranked best first (a NaN score last, never a panic);
+    /// `lambda_cost` weighs the probing cost in. Probed points are
+    /// skipped.
     #[must_use]
     pub fn recommend(&self, lambda_cost: f64) -> Vec<(usize, f64)> {
         use flames_fuzzy::entropy::{expected_entropy, fuzzy_entropy};
@@ -446,7 +442,7 @@ impl AcSession<'_> {
             let expected = expected_entropy(&[(1.0 - w_dev, ent_cons), (w_dev, ent_dev)]);
             out.push((idx, expected.centroid() + lambda_cost * probe.cost));
         }
-        out.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"));
+        out.sort_by(|a, b| a.1.total_cmp(&b.1));
         out
     }
 }
@@ -578,6 +574,17 @@ mod tests {
         assert_eq!(rest.len(), 2);
         assert!(rest.iter().all(|(idx, _)| *idx != first));
         assert_eq!(s.probed().iter().filter(|p| **p).count(), 1);
+    }
+
+    #[test]
+    fn recommend_orders_nan_scores_without_panicking() {
+        let bp = bandpass(0.05);
+        let mut probes = probes_for(&bp);
+        probes[1].cost = f64::NAN;
+        let d = AcDiagnoser::new(&bp.netlist, bp.input, 1.0, probes).unwrap();
+        let ranked = d.session().recommend(1.0);
+        assert_eq!(ranked[2].0, 1, "a NaN score ranks last: {ranked:?}");
+        assert!(ranked[2].1.is_nan());
     }
 
     #[test]

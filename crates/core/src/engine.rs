@@ -348,6 +348,22 @@ impl Diagnoser {
     /// shared schedule — the netlist is not re-walked.
     #[must_use]
     pub fn session_excusing(&self, excused: &[CompId]) -> Session<'_> {
+        self.open(excused, excused.is_empty())
+    }
+
+    /// Opens a session that runs the seed fixpoint live instead of
+    /// restoring the model's snapshot of it: the *cold* baseline of the
+    /// batch benchmark and the reference the snapshot is checked against.
+    #[must_use]
+    pub fn cold_session(&self) -> Session<'_> {
+        flames_obs::metrics().cold_sessions.incr();
+        self.open(&[], false)
+    }
+
+    /// Opens a session on the model's schedule, either restoring the base
+    /// snapshot (valid only without excusal, which changes the seeds and
+    /// the constraint mask) or propagating the filtered seed fixpoint live.
+    fn open(&self, excused: &[CompId], restore: bool) -> Session<'_> {
         flames_obs::metrics().sessions_opened.incr();
         let model = &*self.model;
         let mut prop = Propagator::with_schedule_filtered(
@@ -357,13 +373,9 @@ impl Diagnoser {
             excused,
             excused,
         );
-        if excused.is_empty() {
-            // The common serving path: restore the snapshot of the seed
-            // fixpoint instead of re-running it.
+        if restore {
             prop.restore_state(&model.base_state);
         } else {
-            // Excusal changes the seed set and the constraint mask, so
-            // the base snapshot does not apply: propagate live.
             self.seed_predictions(&mut prop, excused);
             prop.run();
         }
@@ -371,36 +383,6 @@ impl Diagnoser {
             diagnoser: self,
             prop,
             excused: excused.to_vec(),
-            measured: vec![None; model.test_points.len()],
-            priors: vec![None; model.netlist.component_count()],
-            waves: Vec::new(),
-            cand_cache: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Opens a session the pre-compile way: the propagator re-derives
-    /// the constraint schedule, assumption vocabulary, and environments
-    /// from scratch and runs the full seed fixpoint live, exactly as
-    /// every session did before the [`CompiledModel`] split. Kept as
-    /// the honest *cold* baseline for the batch benchmark and as a
-    /// cross-check that the compiled path is byte-identical to the
-    /// legacy one.
-    #[must_use]
-    pub fn cold_session(&self) -> Session<'_> {
-        flames_obs::metrics().sessions_opened.incr();
-        flames_obs::metrics().cold_sessions.incr();
-        let model = &*self.model;
-        let mut prop = Propagator::new(
-            model.netlist.as_ref(),
-            &model.network,
-            model.config.propagator,
-        );
-        self.seed_predictions(&mut prop, &[]);
-        prop.run();
-        Session {
-            diagnoser: self,
-            prop,
-            excused: Vec::new(),
             measured: vec![None; model.test_points.len()],
             priors: vec![None; model.netlist.component_count()],
             waves: Vec::new(),
@@ -667,7 +649,7 @@ impl<'d> Session<'d> {
             .map(|RankedDiagnosis { env, degree }| Candidate {
                 members: env
                     .iter()
-                    .map(|a| self.prop.assumption_name(a).to_owned())
+                    .map(|a| self.prop.schedule().assumption_name(a).to_owned())
                     .collect(),
                 env,
                 degree,
@@ -727,7 +709,7 @@ impl<'d> Session<'d> {
             .map(|a| {
                 let degree = self.prop.atms().suspicion(a) * (1.0 - self.exoneration(a));
                 Candidate {
-                    members: vec![self.prop.assumption_name(a).to_owned()],
+                    members: vec![self.prop.schedule().assumption_name(a).to_owned()],
                     env: Env::singleton(a),
                     degree,
                 }
@@ -754,7 +736,7 @@ impl<'d> Session<'d> {
             let covers = tp
                 .support
                 .iter()
-                .any(|c| self.prop.component_assumption(c.index()) == a);
+                .any(|c| self.prop.schedule().component_assumption(c.index()) == a);
             if covers {
                 let cone = tp.support.len();
                 if best.is_none_or(|(sz, _)| cone < sz) {
@@ -773,7 +755,7 @@ impl<'d> Session<'d> {
         Some(
             self.prop
                 .atms()
-                .suspicion(self.prop.component_assumption(id.index())),
+                .suspicion(self.prop.schedule().component_assumption(id.index())),
         )
     }
 
@@ -820,7 +802,7 @@ impl<'d> Session<'d> {
             .netlist()
             .components()
             .map(|(id, comp)| {
-                let a = self.prop.component_assumption(id.index());
+                let a = self.prop.schedule().component_assumption(id.index());
                 let s = self.prop.atms().suspicion(a);
                 let prior = self.priors[id.index()];
                 let est = if s > 0.0 {
@@ -873,7 +855,7 @@ impl<'d> Session<'d> {
             .atms()
             .sorted_nogoods()
             .into_iter()
-            .map(|Nogood { env, degree }| (self.prop.pool().render(env.iter()), degree))
+            .map(|Nogood { env, degree }| (self.prop.schedule().pool().render(env.iter()), degree))
             .collect();
         let candidates = self.candidates(3, 64);
         let refined = self.refined_candidates(16, 0.5);
@@ -1108,7 +1090,7 @@ pub(crate) fn fan_out<'d, T: Sync, R: Send>(
 
 /// The refined-candidate order: decreasing degree (a NaN degree first,
 /// never a panic), then environment.
-fn rank_refined(out: &mut [Candidate]) {
+pub(crate) fn rank_refined(out: &mut [Candidate]) {
     out.sort_by(|p, q| {
         q.degree
             .total_cmp(&p.degree)
@@ -1302,7 +1284,7 @@ mod tests {
             .unwrap();
         s.propagate();
         let nogoods = s.propagator().atms().nogoods();
-        let a_r1 = s.propagator().component_assumption(r1.index());
+        let a_r1 = s.propagator().schedule().component_assumption(r1.index());
         assert!(
             nogoods.iter().all(|n| !n.env.contains(a_r1)),
             "withdrawn model must not appear in conflicts: {nogoods:?}"
@@ -1356,7 +1338,7 @@ mod tests {
         assert_eq!(
             format!("{compiled:?}"),
             format!("{cold:?}"),
-            "compiled path must be byte-identical to the legacy rebuild"
+            "snapshot restore must be byte-identical to the live seed fixpoint"
         );
     }
 

@@ -17,7 +17,7 @@
 //! strongly suspect the resistance r2 which has to be very low".
 
 use crate::engine::Diagnoser;
-use crate::propagation::PropagatorConfig;
+use crate::propagation::{Propagator, PropagatorConfig};
 use crate::Result;
 use flames_circuit::constraint::QuantityKind;
 use flames_circuit::CompId;
@@ -159,12 +159,14 @@ pub fn infer_fault_mode(
     };
     let nominal = diagnoser.netlist().component(component).primary_param();
 
-    // A bespoke propagator in which the component's parameter is unknown.
-    let mut prop = crate::propagation::Propagator::new_with_unknown(
-        diagnoser.netlist(),
+    // A propagator on the model's schedule in which the component's
+    // parameter is unknown.
+    let mut prop = Propagator::with_schedule_filtered(
         network,
+        diagnoser.model().schedule(),
         config,
         &[component],
+        &[],
     );
     for (point, value) in measurements {
         let tp = diagnoser
@@ -190,12 +192,18 @@ pub fn infer_fault_mode(
             .collect(),
         None => Vec::new(),
     };
-    mode_matches.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite degrees"));
+    rank_modes(&mut mode_matches);
     Ok(ModeDiagnosis {
         component,
         ratio,
         modes: mode_matches,
     })
+}
+
+/// Orders `(mode, degree)` matches by decreasing degree (a NaN degree
+/// first, never a panic).
+fn rank_modes(matches: &mut [(String, f64)]) {
+    matches.sort_by(|a, b| b.1.total_cmp(&a.1));
 }
 
 #[cfg(test)]
@@ -288,6 +296,18 @@ mod tests {
             "{ratio2}"
         );
         assert_eq!(md2.best().unwrap().0, "low");
+    }
+
+    #[test]
+    fn mode_ranking_orders_nan_degrees_without_panicking() {
+        let mut matches = vec![
+            ("low".to_owned(), 0.25),
+            ("nan".to_owned(), f64::NAN),
+            ("high".to_owned(), 0.75),
+        ];
+        rank_modes(&mut matches);
+        let names: Vec<&str> = matches.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["nan", "high", "low"]);
     }
 
     #[test]

@@ -26,9 +26,7 @@
 //!   share it — it is `Send + Sync`.
 //! * [`Propagator`] — the mutable per-**board** half: value stores, the
 //!   fuzzy ATMS labels and nogoods, coincidence records, withdrawn
-//!   constraints. It either owns a private schedule (the legacy
-//!   [`Propagator::new`] constructors, which re-derive everything per
-//!   session) or borrows a shared one
+//!   constraints. It borrows the schedule its caller compiled
 //!   ([`Propagator::with_schedule_filtered`]); [`Propagator::reset`]
 //!   clears the per-board state without deallocating, so a warm
 //!   propagator serves the next board with zero rebuild cost.
@@ -604,72 +602,23 @@ pub struct CompiledSchedule {
 }
 
 impl CompiledSchedule {
-    /// Compiles the per-model schedule: one correctness assumption per
-    /// component of `netlist`, one connection assumption per net owning a
-    /// Kirchhoff constraint (in constraint first-appearance order — the
-    /// numbering every session previously re-derived), the per-constraint
-    /// support environments, and the seed environments. The schedule
-    /// reads none of the engine knobs; `_config` stays in the signature
-    /// for existing callers.
+    /// Compiles the per-model schedule: [`CompiledSchedule::build_restricted`]
+    /// with every component included. The schedule reads none of the
+    /// engine knobs; `_config` stays in the signature for existing callers.
     #[must_use]
     pub fn build(netlist: &Netlist, network: &Network, _config: PropagatorConfig) -> Self {
-        let compiled = CompiledNetwork::compile(network);
-        let mut atms = FuzzyAtms::new();
-        let mut pool = AssumptionPool::new();
-        let mut comp_assumptions = Vec::with_capacity(netlist.component_count());
-        for (_, comp) in netlist.components() {
-            let a = atms.add_assumption();
-            // The intern must run in release builds too — the pool is what
-            // names every env in reports.
-            let interned = pool.intern(comp.name());
-            debug_assert_eq!(a, interned);
-            comp_assumptions.push(a);
-        }
-        let mut conn_assumptions = vec![None; netlist.net_count()];
-        for &net in compiled.conn_nets() {
-            let name = format!("conn:{}", netlist.net_name(net));
-            let a = atms.add_assumption();
-            let interned = pool.intern(&name);
-            debug_assert_eq!(a, interned);
-            conn_assumptions[net.index()] = Some(a);
-        }
-        let constraint_envs: Vec<Env> = network
-            .constraints()
-            .iter()
-            .map(|c| {
-                let mut env =
-                    Env::from_assumptions(c.support.iter().map(|s| comp_assumptions[s.index()]));
-                if let Some(net) = c.conn {
-                    if let Some(a) = conn_assumptions[net.index()] {
-                        env = env.with(a);
-                    }
-                }
-                env
-            })
-            .collect();
-        let seed_envs: Vec<Env> = network
-            .seeds()
-            .iter()
-            .map(|s| Env::from_assumptions(s.support.iter().map(|c| comp_assumptions[c.index()])))
-            .collect();
-        Self {
-            compiled,
-            pool,
-            comp_assumptions,
-            conn_assumptions,
-            constraint_envs,
-            seed_envs,
-            base_atms: atms,
-        }
+        Self::build_restricted(netlist, network, &vec![true; netlist.component_count()])
     }
 
-    /// Like [`CompiledSchedule::build`], but interning correctness
-    /// assumptions only for the components flagged in `include` — the
-    /// per-shard schedule of the region-sharded engine. `network` must
-    /// already be the shard's filtered sub-network
-    /// ([`Network::restricted`] via the region partition): the full
-    /// global quantity list with only the shard's constraints, whose
-    /// supports all lie inside `include`.
+    /// Compiles a schedule: one correctness assumption per component
+    /// flagged in `include`, one connection assumption per net owning a
+    /// Kirchhoff constraint (in constraint first-appearance order), the
+    /// per-constraint support environments, and the seed environments.
+    /// A partial `include` gives the per-shard schedule of the
+    /// region-sharded engine; `network` must then be the shard's
+    /// filtered sub-network ([`Network::restricted`] via the region
+    /// partition): the full global quantity list with only the shard's
+    /// constraints, whose supports all lie inside `include`.
     ///
     /// Off-shard components get a sentinel assumption
     /// (`Assumption(u32::MAX)`) that must never reach an environment;
@@ -698,6 +647,8 @@ impl CompiledSchedule {
         for (id, comp) in netlist.components() {
             if include[id.index()] {
                 let a = atms.add_assumption();
+                // The intern must run in release builds too — the pool is
+                // what names every env in reports.
                 let interned = pool.intern(comp.name());
                 debug_assert_eq!(a, interned);
                 comp_assumptions.push(a);
@@ -763,6 +714,12 @@ impl CompiledSchedule {
         &self.pool
     }
 
+    /// Human-readable name of an assumption.
+    #[must_use]
+    pub fn assumption_name(&self, a: Assumption) -> &str {
+        self.pool.name(a).unwrap_or("?")
+    }
+
     /// The correctness assumption of a component (by netlist index).
     ///
     /// # Panics
@@ -778,24 +735,6 @@ impl CompiledSchedule {
     #[must_use]
     pub fn connection_assumption(&self, net: Net) -> Option<Assumption> {
         self.conn_assumptions.get(net.index()).copied().flatten()
-    }
-}
-
-/// Owned-or-shared handle on a [`CompiledSchedule`]: the legacy
-/// constructors compile a private schedule per propagator, the serving
-/// path borrows one compiled model.
-#[derive(Debug, Clone)]
-enum ScheduleRef<'n> {
-    Owned(Box<CompiledSchedule>),
-    Shared(&'n CompiledSchedule),
-}
-
-impl ScheduleRef<'_> {
-    fn get(&self) -> &CompiledSchedule {
-        match self {
-            ScheduleRef::Owned(s) => s,
-            ScheduleRef::Shared(s) => s,
-        }
     }
 }
 
@@ -838,7 +777,7 @@ pub(crate) struct PropState {
 pub struct Propagator<'n> {
     network: &'n Network,
     config: PropagatorConfig,
-    schedule: ScheduleRef<'n>,
+    schedule: &'n CompiledSchedule,
     /// Components whose parameter seeds are withheld.
     unknown: Vec<CompId>,
     /// Components whose models are withdrawn entirely.
@@ -847,70 +786,11 @@ pub struct Propagator<'n> {
 }
 
 impl<'n> Propagator<'n> {
-    /// Builds a propagator for `network`, creating one correctness
-    /// assumption per component of `netlist` and one connection assumption
-    /// per net that owns a Kirchhoff constraint, then loads the network's
-    /// seed values.
-    ///
-    /// This compiles a private [`CompiledSchedule`] per call — the
-    /// pre-compile behaviour, kept for one-shot uses and as the cold
-    /// baseline; long-lived serving should build the schedule once and
-    /// use [`Propagator::with_schedule`].
-    #[must_use]
-    pub fn new(netlist: &Netlist, network: &'n Network, config: PropagatorConfig) -> Self {
-        Self::new_with_unknown(netlist, network, config, &[])
-    }
-
-    /// Like [`Propagator::new`], but the parameters of the listed
-    /// components are left *unknown* (their seeds are withheld). Used by
-    /// fault-mode refinement to infer a suspect's actual parameter from
-    /// the measurements.
-    #[must_use]
-    pub fn new_with_unknown(
-        netlist: &Netlist,
-        network: &'n Network,
-        config: PropagatorConfig,
-        unknown: &[CompId],
-    ) -> Self {
-        Self::new_filtered(netlist, network, config, unknown, &[])
-    }
-
-    /// Like [`Propagator::new`], but the listed components' *models* are
-    /// withdrawn entirely: their parameter seeds are skipped and every
-    /// constraint they support is disabled. Used by the §6.2
-    /// model-validity machinery when a device is driven out of the
-    /// operating region its model assumes.
-    #[must_use]
-    pub fn new_excusing(
-        netlist: &Netlist,
-        network: &'n Network,
-        config: PropagatorConfig,
-        excused: &[CompId],
-    ) -> Self {
-        Self::new_filtered(netlist, network, config, excused, excused)
-    }
-
-    fn new_filtered(
-        netlist: &Netlist,
-        network: &'n Network,
-        config: PropagatorConfig,
-        unknown: &[CompId],
-        excused: &[CompId],
-    ) -> Self {
-        let schedule = Box::new(CompiledSchedule::build(netlist, network, config));
-        Self::from_parts(
-            network,
-            ScheduleRef::Owned(schedule),
-            config,
-            unknown.to_vec(),
-            excused.to_vec(),
-        )
-    }
-
-    /// Builds a propagator over a shared, pre-compiled schedule — the
-    /// serve-many path: no vocabulary interning, no adjacency rebuild, no
-    /// environment re-derivation; the cold cost is one clone of the
-    /// vocabulary-only base ATMS plus the empty label stores.
+    /// Builds a propagator for `network` over a schedule compiled for it
+    /// ([`CompiledSchedule::build`]) and loads the network's seed values.
+    /// No vocabulary interning, no adjacency rebuild, no environment
+    /// re-derivation: the cost is one clone of the vocabulary-only base
+    /// ATMS plus the empty label stores.
     #[must_use]
     pub fn with_schedule(
         network: &'n Network,
@@ -920,10 +800,11 @@ impl<'n> Propagator<'n> {
         Self::with_schedule_filtered(network, schedule, config, &[], &[])
     }
 
-    /// [`Propagator::with_schedule`] with the unknown/excused component
-    /// filters of [`Propagator::new_with_unknown`] /
-    /// [`Propagator::new_excusing`]. The filters are per-board state:
-    /// [`Propagator::reset`] reapplies them.
+    /// [`Propagator::with_schedule`] with component filters: the
+    /// `unknown` components' parameter seeds are withheld (fault-mode
+    /// refinement infers them), and the constraints the `excused`
+    /// components support are disabled (§6.2 model validity). The
+    /// filters are per-board state: [`Propagator::reset`] reapplies them.
     #[must_use]
     pub fn with_schedule_filtered(
         network: &'n Network,
@@ -932,25 +813,9 @@ impl<'n> Propagator<'n> {
         unknown: &[CompId],
         excused: &[CompId],
     ) -> Self {
-        Self::from_parts(
-            network,
-            ScheduleRef::Shared(schedule),
-            config,
-            unknown.to_vec(),
-            excused.to_vec(),
-        )
-    }
-
-    fn from_parts(
-        network: &'n Network,
-        schedule: ScheduleRef<'n>,
-        config: PropagatorConfig,
-        unknown: Vec<CompId>,
-        excused: Vec<CompId>,
-    ) -> Self {
         let state = PropState {
             entries: vec![EntryColumns::default(); network.quantity_count()],
-            atms: schedule.get().base_atms.clone(),
+            atms: schedule.base_atms.clone(),
             coincidences: Vec::new(),
             disabled_constraints: Vec::with_capacity(network.constraints().len()),
             ran: false,
@@ -963,8 +828,8 @@ impl<'n> Propagator<'n> {
             network,
             config,
             schedule,
-            unknown,
-            excused,
+            unknown: unknown.to_vec(),
+            excused: excused.to_vec(),
             state,
         };
         prop.load_board();
@@ -975,7 +840,7 @@ impl<'n> Propagator<'n> {
     /// seeds (minus withheld parameters). Runs on construction and on
     /// every [`Propagator::reset`].
     fn load_board(&mut self) {
-        let sched = self.schedule.get();
+        let sched = self.schedule;
         let network = self.network;
         let config = self.config;
         let unknown = &self.unknown;
@@ -1032,39 +897,11 @@ impl<'n> Propagator<'n> {
         self.state.clone_from(base);
     }
 
-    /// The schedule this propagator runs on (owned or shared).
+    /// The schedule this propagator runs on, which holds the
+    /// assumption vocabulary.
     #[must_use]
-    pub fn schedule(&self) -> &CompiledSchedule {
-        self.schedule.get()
-    }
-
-    /// The assumption standing for "component `comp` (by netlist index)
-    /// behaves correctly".
-    ///
-    /// # Panics
-    ///
-    /// Panics for an out-of-range component index.
-    #[must_use]
-    pub fn component_assumption(&self, comp_index: usize) -> Assumption {
-        self.schedule.get().comp_assumptions[comp_index]
-    }
-
-    /// The connection assumption of a net, if it has Kirchhoff constraints.
-    #[must_use]
-    pub fn connection_assumption(&self, net: Net) -> Option<Assumption> {
-        self.schedule.get().connection_assumption(net)
-    }
-
-    /// Human-readable name of an assumption.
-    #[must_use]
-    pub fn assumption_name(&self, a: Assumption) -> &str {
-        self.schedule.get().pool.name(a).unwrap_or("?")
-    }
-
-    /// The assumption vocabulary.
-    #[must_use]
-    pub fn pool(&self) -> &AssumptionPool {
-        &self.schedule.get().pool
+    pub fn schedule(&self) -> &'n CompiledSchedule {
+        self.schedule
     }
 
     /// The underlying fuzzy ATMS (nogoods, suspicion, diagnoses).
@@ -1217,7 +1054,7 @@ impl<'n> Propagator<'n> {
     ///
     /// Returns the number of constraint applications performed.
     pub fn run(&mut self) -> usize {
-        let sched = self.schedule.get();
+        let sched = self.schedule;
         let config = self.config;
         let state = &mut self.state;
         let n = sched.compiled.constraint_count();
@@ -1285,7 +1122,7 @@ impl<'n> Propagator<'n> {
     }
 
     fn env_of_comps(&self, comps: &[CompId]) -> Env {
-        let sched = self.schedule.get();
+        let sched = self.schedule;
         Env::from_assumptions(comps.iter().map(|c| sched.comp_assumptions[c.index()]))
     }
 }
@@ -1670,8 +1507,8 @@ mod tests {
     use super::*;
     use flames_circuit::constraint::{extract, ExtractOptions};
 
-    /// vin —R1— mid —R2— gnd divider network.
-    fn divider(tol: f64) -> (Netlist, Network) {
+    /// vin —R1— mid —R2— gnd divider network and its schedule.
+    fn divider(tol: f64) -> (Netlist, Network, CompiledSchedule) {
         let mut nl = Netlist::new();
         let vin = nl.add_net("vin");
         let mid = nl.add_net("mid");
@@ -1680,13 +1517,14 @@ mod tests {
         nl.add_resistor("R2", mid, Net::GROUND, 1000.0, tol)
             .unwrap();
         let network = extract(&nl, ExtractOptions::default());
-        (nl, network)
+        let schedule = CompiledSchedule::build(&nl, &network, PropagatorConfig::default());
+        (nl, network, schedule)
     }
 
     #[test]
     fn seeds_are_loaded() {
-        let (nl, network) = divider(0.05);
-        let prop = Propagator::new(&nl, &network, PropagatorConfig::default());
+        let (_, network, schedule) = divider(0.05);
+        let prop = Propagator::with_schedule(&network, &schedule, PropagatorConfig::default());
         let vg = network.voltage_quantity(Net::GROUND);
         let entries = prop.entries(vg).unwrap();
         assert_eq!(entries.len(), 1);
@@ -1696,8 +1534,8 @@ mod tests {
 
     #[test]
     fn healthy_divider_propagates_and_corroborates() {
-        let (nl, network) = divider(0.05);
-        let mut prop = Propagator::new(&nl, &network, PropagatorConfig::default());
+        let (nl, network, schedule) = divider(0.05);
+        let mut prop = Propagator::with_schedule(&network, &schedule, PropagatorConfig::default());
         let mid = nl.net_by_name("mid").unwrap();
         let vq = network.voltage_quantity(mid);
         // Measure the true mid voltage with a little imprecision.
@@ -1715,8 +1553,8 @@ mod tests {
 
     #[test]
     fn shifted_measurement_raises_graded_nogood() {
-        let (nl, network) = divider(0.05);
-        let mut prop = Propagator::new(&nl, &network, PropagatorConfig::default());
+        let (nl, network, schedule) = divider(0.05);
+        let mut prop = Propagator::with_schedule(&network, &schedule, PropagatorConfig::default());
         let mid = nl.net_by_name("mid").unwrap();
         let vq = network.voltage_quantity(mid);
         // Slightly off: a soft fault somewhere.
@@ -1729,8 +1567,12 @@ mod tests {
             "5.4 V against ~5±tolerances must conflict"
         );
         // The conflict implicates the divider resistors, not the source alone.
-        let r1 = prop.component_assumption(nl.component_by_name("R1").unwrap().index());
-        let r2 = prop.component_assumption(nl.component_by_name("R2").unwrap().index());
+        let r1 = prop
+            .schedule()
+            .component_assumption(nl.component_by_name("R1").unwrap().index());
+        let r2 = prop
+            .schedule()
+            .component_assumption(nl.component_by_name("R2").unwrap().index());
         assert!(nogoods
             .iter()
             .any(|n| n.env.contains(r1) || n.env.contains(r2)));
@@ -1738,8 +1580,8 @@ mod tests {
 
     #[test]
     fn hard_fault_raises_total_conflict() {
-        let (nl, network) = divider(0.05);
-        let mut prop = Propagator::new(&nl, &network, PropagatorConfig::default());
+        let (nl, network, schedule) = divider(0.05);
+        let mut prop = Propagator::with_schedule(&network, &schedule, PropagatorConfig::default());
         let mid = nl.net_by_name("mid").unwrap();
         let vq = network.voltage_quantity(mid);
         prop.observe(vq, FuzzyInterval::crisp(9.99).widened(0.02).unwrap())
@@ -1763,8 +1605,8 @@ mod tests {
 
     #[test]
     fn soft_fault_conflict_is_graded_below_one() {
-        let (nl, network) = divider(0.05);
-        let mut prop = Propagator::new(&nl, &network, PropagatorConfig::default());
+        let (nl, network, schedule) = divider(0.05);
+        let mut prop = Propagator::with_schedule(&network, &schedule, PropagatorConfig::default());
         let mid = nl.net_by_name("mid").unwrap();
         let vq = network.voltage_quantity(mid);
         // Just at the edge of tolerance: partial conflict expected.
@@ -1785,8 +1627,8 @@ mod tests {
 
     #[test]
     fn diagnoses_point_at_divider_components() {
-        let (nl, network) = divider(0.05);
-        let mut prop = Propagator::new(&nl, &network, PropagatorConfig::default());
+        let (nl, network, schedule) = divider(0.05);
+        let mut prop = Propagator::with_schedule(&network, &schedule, PropagatorConfig::default());
         let mid = nl.net_by_name("mid").unwrap();
         let vq = network.voltage_quantity(mid);
         prop.observe(vq, FuzzyInterval::crisp(7.0).widened(0.05).unwrap())
@@ -1798,15 +1640,19 @@ mod tests {
         // connection — never empty.
         let names: Vec<String> = diags
             .iter()
-            .flat_map(|d| d.env.iter().map(|a| prop.assumption_name(a).to_owned()))
+            .flat_map(|d| {
+                d.env
+                    .iter()
+                    .map(|a| prop.schedule().assumption_name(a).to_owned())
+            })
             .collect();
         assert!(names.iter().any(|n| n == "R1" || n == "R2"));
     }
 
     #[test]
     fn unknown_quantity_is_reported() {
-        let (nl, network) = divider(0.05);
-        let mut prop = Propagator::new(&nl, &network, PropagatorConfig::default());
+        let (_, network, schedule) = divider(0.05);
+        let mut prop = Propagator::with_schedule(&network, &schedule, PropagatorConfig::default());
         let bogus = flames_circuit::constraint::QuantityId::from_raw(network.quantity_count() + 5);
         let res = prop.observe(bogus, FuzzyInterval::crisp(0.0));
         assert!(matches!(res, Err(CoreError::UnknownQuantity { .. })));
@@ -1815,8 +1661,8 @@ mod tests {
 
     #[test]
     fn observe_then_rerun_is_incremental() {
-        let (nl, network) = divider(0.05);
-        let mut prop = Propagator::new(&nl, &network, PropagatorConfig::default());
+        let (nl, network, schedule) = divider(0.05);
+        let mut prop = Propagator::with_schedule(&network, &schedule, PropagatorConfig::default());
         let vin = nl.net_by_name("vin").unwrap();
         let mid = nl.net_by_name("mid").unwrap();
         prop.observe(
@@ -1853,22 +1699,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_schedule_matches_private_schedule() {
-        let (nl, network) = divider(0.05);
-        let config = PropagatorConfig::default();
-        let schedule = CompiledSchedule::build(&nl, &network, config);
-        let mut legacy = Propagator::new(&nl, &network, config);
-        let mut shared = Propagator::with_schedule(&network, &schedule, config);
-        let a = run_board(&mut legacy, &network, &nl);
-        let b = run_board(&mut shared, &network, &nl);
-        assert_eq!(a, b, "compiled path must be byte-identical to legacy");
-    }
-
-    #[test]
     fn reset_board_matches_fresh_propagator() {
-        let (nl, network) = divider(0.05);
+        let (nl, network, schedule) = divider(0.05);
         let config = PropagatorConfig::default();
-        let schedule = CompiledSchedule::build(&nl, &network, config);
         let mut fresh = Propagator::with_schedule(&network, &schedule, config);
         let expected = run_board(&mut fresh, &network, &nl);
         // Warm path: run a *different* board first, then reset and replay.
@@ -1890,16 +1723,17 @@ mod tests {
 
     #[test]
     fn reset_preserves_excusal_filters() {
-        let (nl, network) = divider(0.05);
+        let (nl, network, schedule) = divider(0.05);
         let config = PropagatorConfig::default();
         let r2 = nl.component_by_name("R2").unwrap();
-        let schedule = CompiledSchedule::build(&nl, &network, config);
-        let mut legacy = Propagator::new_excusing(&nl, &network, config, &[r2]);
-        let mut shared =
+        let mut fresh =
             Propagator::with_schedule_filtered(&network, &schedule, config, &[r2], &[r2]);
-        shared.reset();
-        let a = run_board(&mut legacy, &network, &nl);
-        let b = run_board(&mut shared, &network, &nl);
+        let mut reset =
+            Propagator::with_schedule_filtered(&network, &schedule, config, &[r2], &[r2]);
+        run_board(&mut reset, &network, &nl);
+        reset.reset();
+        let a = run_board(&mut fresh, &network, &nl);
+        let b = run_board(&mut reset, &network, &nl);
         assert_eq!(a, b, "filters survive reset");
     }
 
@@ -2020,8 +1854,8 @@ mod tests {
     /// a 4-group (6 × 11 entries stop at entry 9 of the last prefix).
     #[test]
     fn wide_linear_rows_match_the_scalar_fold() {
-        let (nl, network) = divider(0.05);
-        let prop = Propagator::new(&nl, &network, PropagatorConfig::default());
+        let (_, network, schedule) = divider(0.05);
+        let prop = Propagator::with_schedule(&network, &schedule, PropagatorConfig::default());
         assert!(network.quantity_count() >= 3);
         let mut seed = 0x5EED_u64;
         let mut next = move || {
@@ -2133,8 +1967,8 @@ mod tests {
     /// sixth row).
     #[test]
     fn wide_product_rows_match_the_scalar_fold() {
-        let (nl, network) = divider(0.05);
-        let prop = Propagator::new(&nl, &network, PropagatorConfig::default());
+        let (_, network, schedule) = divider(0.05);
+        let prop = Propagator::with_schedule(&network, &schedule, PropagatorConfig::default());
         let mut seed = 0x9A1E_u64;
         let mut next = move || {
             seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -2206,7 +2040,7 @@ mod tests {
 
     #[test]
     fn a_nan_width_entry_reaches_grade_specs_without_a_panic() {
-        let (nl, mut network) = divider(0.05);
+        let (nl, mut network, _) = divider(0.05);
         let mid = nl.net_by_name("mid").unwrap();
         let vq = network.voltage_quantity(mid);
         let r2 = nl.component_by_name("R2").unwrap();
@@ -2217,14 +2051,14 @@ mod tests {
             vec![r2],
         );
         let config = PropagatorConfig::default();
-        let mut prop = Propagator::new(&nl, &network, config);
+        let schedule = CompiledSchedule::build(&nl, &network, config);
+        let mut prop = Propagator::with_schedule(&network, &schedule, config);
         prop.observe(vq, FuzzyInterval::crisp(5.0).widened(0.05).unwrap())
             .unwrap();
         prop.run();
         let graded = |prop: &mut Propagator<'_>| {
             prop.state.coincidences.clear();
-            prop.state
-                .grade_specs(prop.schedule.get(), &network, config);
+            prop.state.grade_specs(prop.schedule, &network, config);
             prop.coincidences().to_vec()
         };
         let want = graded(&mut prop);

@@ -54,10 +54,6 @@ pub const DEFAULT_MAX_RULES: usize = 4096;
 /// Knobs of the rule-first fast path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
-    /// When `false`, every board takes the model-based path (the cache
-    /// is bypassed entirely — output is byte-identical to a build
-    /// without the store).
-    pub enabled: bool,
     /// Minimum score (certainty × match fraction) of the top suggestion
     /// for a hit.
     pub min_score: f64,
@@ -73,7 +69,6 @@ pub struct CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             min_score: 0.6,
             min_margin: 0.1,
             learn: true,
@@ -677,8 +672,8 @@ pub fn rule_hit_report(diagnoser: &Diagnoser, board: &Board, hit: &RuleProvenanc
 /// `learn.hit`); everything else is diagnosed by the *literal*
 /// [`diagnose_batch_lanes`] code path — miss-path reports are therefore
 /// byte-identical to the uncached engine — and, when
-/// [`CacheConfig::learn`] is set, absorbed back into the store.
-/// With [`CacheConfig::enabled`] off the function is a pass-through.
+/// [`CacheConfig::learn`] is set, absorbed back into the store. A
+/// caller that wants no cache at all calls [`diagnose_batch_lanes`].
 ///
 /// `_lane_width` is not read: every board propagates alone. The
 /// parameter stays until the service benchmark stops passing it.
@@ -694,16 +689,6 @@ pub fn diagnose_batch_lanes_cached(
     threads: usize,
     _lane_width: usize,
 ) -> crate::Result<Vec<CachedReport>> {
-    if !config.enabled {
-        let reports = diagnose_batch_lanes(diagnoser, boards, threads)?;
-        return Ok(reports
-            .into_iter()
-            .map(|report| CachedReport {
-                report,
-                provenance: None,
-            })
-            .collect());
-    }
     let snapshot = store.snapshot();
     let metrics = flames_obs::metrics();
     let mut out: Vec<Option<CachedReport>> = Vec::new();

@@ -195,7 +195,7 @@ impl RuleBase {
                 })
             })
             .collect();
-        out.sort_by(|a, b| b.degree.partial_cmp(&a.degree).expect("finite degrees"));
+        out.sort_by(|a, b| b.degree.total_cmp(&a.degree));
         out
     }
 }
@@ -453,6 +453,44 @@ mod tests {
             format!("{}", PointExpr::Diff("a".into(), "b".into())),
             "a−b"
         );
+    }
+
+    #[test]
+    fn evaluation_tolerates_nan_certainties() {
+        let ts = three_stage(0.02);
+        let d = Diagnoser::from_netlist(
+            &ts.netlist,
+            ts.test_points.clone(),
+            DiagnoserConfig::default(),
+        )
+        .unwrap();
+        let mut session = d.session();
+        session
+            .measure("V1", FuzzyInterval::crisp(7.0).widened(0.05).unwrap())
+            .unwrap();
+        let rule = |name: &str, conditions: Vec<Condition>| QualitativeRule {
+            name: name.to_owned(),
+            conditions,
+            target: RuleTarget::ModelInvalid {
+                component: "T2".to_owned(),
+            },
+            certainty: f64::NAN,
+        };
+        let mut rules = RuleBase::new();
+        rules.add(rule("unconditional", Vec::new()));
+        rules.add(rule(
+            "v1-band",
+            vec![Condition {
+                expr: PointExpr::Point("V1".to_owned()),
+                set: FuzzyInterval::new(6.5, 7.5, 0.5, 0.5).unwrap(),
+            }],
+        ));
+        // `min` skips a NaN certainty, so the conditioned rule fires on
+        // its condition alone; a NaN degree never passes `> 0`.
+        let firings = rules.evaluate(&session);
+        assert_eq!(firings.len(), 1, "{firings:?}");
+        assert_eq!(firings[0].rule, "v1-band");
+        assert_eq!(firings[0].degree, 1.0);
     }
 
     #[test]

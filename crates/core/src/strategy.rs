@@ -294,6 +294,7 @@ pub fn recommend_with_memo(
     let probed = session.probed();
     let diagnoser = session.diagnoser();
     let netlist = diagnoser.netlist();
+    let schedule = session.propagator().schedule();
 
     // Detach everything a point evaluation needs from the session.
     let points: Vec<PointCtx> = diagnoser
@@ -316,7 +317,7 @@ pub fn recommend_with_memo(
                 Policy::Probabilistic => tp
                     .support
                     .iter()
-                    .map(|c| session.propagator().component_assumption(c.index()))
+                    .map(|c| schedule.component_assumption(c.index()))
                     .collect(),
                 _ => Vec::new(),
             },
@@ -419,6 +420,7 @@ pub fn recommend_oracle(
     let probed = session.probed();
     let estimations = session.estimations();
     let diagnoser = session.diagnoser();
+    let schedule = session.propagator().schedule();
     let mut out = Vec::new();
     for (idx, tp) in diagnoser.test_points().iter().enumerate() {
         if probed[idx] {
@@ -485,7 +487,7 @@ pub fn recommend_oracle(
                     let support_assumptions: Vec<_> = tp
                         .support
                         .iter()
-                        .map(|c| session.propagator().component_assumption(c.index()))
+                        .map(|c| schedule.component_assumption(c.index()))
                         .collect();
                     let (mut hit, mut miss): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
                     for c in &candidates {

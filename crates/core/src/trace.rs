@@ -51,6 +51,7 @@ pub struct WaveRecord {
 pub fn diagnosis_trace(session: &Session<'_>) -> Trace {
     let mut trace = Trace::new();
     let prop = session.propagator();
+    let pool = prop.schedule().pool();
     let network = session.diagnoser().network();
     let coincidences = prop.coincidences();
     let mut seen = 0usize;
@@ -76,7 +77,7 @@ pub fn diagnosis_trace(session: &Session<'_>) -> Trace {
                         "direction".into(),
                         record.consistency.direction().to_string().into(),
                     ),
-                    ("env".into(), prop.pool().render(record.env.iter()).into()),
+                    ("env".into(), pool.render(record.env.iter()).into()),
                 ],
             );
         }
@@ -100,7 +101,7 @@ pub fn diagnosis_trace(session: &Session<'_>) -> Trace {
             "nogood",
             "atms",
             vec![
-                ("env".into(), prop.pool().render(nogood.env.iter()).into()),
+                ("env".into(), pool.render(nogood.env.iter()).into()),
                 ("degree".into(), nogood.degree.into()),
             ],
         );

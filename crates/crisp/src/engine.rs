@@ -193,12 +193,10 @@ impl<'n> CrispPropagator<'n> {
     /// The tightest value of a quantity, if any.
     #[must_use]
     pub fn best_value(&self, q: QuantityId) -> Option<&CrispEntry> {
-        self.entries.get(q.index())?.iter().min_by(|a, b| {
-            a.value
-                .width()
-                .partial_cmp(&b.value.width())
-                .expect("finite widths")
-        })
+        self.entries
+            .get(q.index())?
+            .iter()
+            .min_by(|a, b| a.value.width().total_cmp(&b.value.width()))
     }
 
     /// Enters a measurement (premise environment).
@@ -447,12 +445,7 @@ impl<'n> CrispPropagator<'n> {
             let widest = list
                 .iter()
                 .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    a.value
-                        .width()
-                        .partial_cmp(&b.value.width())
-                        .expect("finite widths")
-                })
+                .max_by(|(_, a), (_, b)| a.value.width().total_cmp(&b.value.width()))
                 .map(|(i, e)| (i, e.value.width()));
             match widest {
                 Some((i, width)) if incoming.value.width() < width => {
@@ -591,5 +584,28 @@ mod tests {
         let foreign = flames_circuit::constraint::QuantityId::from_raw(9999);
         assert!(prop.entries(foreign).is_empty());
         assert!(prop.best_value(foreign).is_none());
+    }
+
+    /// Finite bounds never make a NaN width; the widest one is `inf`.
+    #[test]
+    fn infinite_widths_order_in_full_labels_and_best_value() {
+        let (nl, network) = divider(0.05);
+        let config = CrispConfig {
+            max_entries: 2,
+            ..CrispConfig::default()
+        };
+        let mut prop = CrispPropagator::new(&nl, &network, config);
+        let q = network.voltage_quantity(nl.net_by_name("mid").unwrap());
+        let r1 = nl.component_by_name("R1").unwrap();
+        let r2 = nl.component_by_name("R2").unwrap();
+        prop.predict(q, Interval::new(-f64::MAX, f64::MAX), &[r1]);
+        prop.predict(q, Interval::new(-f64::MAX / 2.0, f64::MAX), &[r2]);
+        assert!(prop
+            .entries(q)
+            .iter()
+            .all(|e| e.value.width().is_infinite()));
+        prop.predict(q, Interval::new(4.0, 6.0), &[r1, r2]);
+        assert_eq!(prop.entries(q).len(), 2);
+        assert_eq!(prop.best_value(q).unwrap().value, Interval::new(4.0, 6.0));
     }
 }

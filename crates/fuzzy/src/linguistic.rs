@@ -192,11 +192,7 @@ impl TermSet {
     pub fn fuzzify(&self, x: f64) -> Result<&LinguisticTerm> {
         self.terms
             .iter()
-            .max_by(|p, q| {
-                p.membership(x)
-                    .partial_cmp(&q.membership(x))
-                    .expect("memberships are finite")
-            })
+            .max_by(|p, q| p.membership(x).total_cmp(&q.membership(x)))
             .ok_or(FuzzyError::EmptyTermSet)
     }
 
@@ -211,8 +207,7 @@ impl TermSet {
             .iter()
             .max_by(|p, q| {
                 p.similarity(estimation)
-                    .partial_cmp(&q.similarity(estimation))
-                    .expect("similarities are finite")
+                    .total_cmp(&q.similarity(estimation))
             })
             .ok_or(FuzzyError::EmptyTermSet)
     }
@@ -261,6 +256,20 @@ mod tests {
         assert_eq!(v.fuzzify(0.02).unwrap().name(), "correct");
         assert_eq!(v.fuzzify(0.25).unwrap().name(), "likely correct");
         assert_eq!(v.fuzzify(0.97).unwrap().name(), "faulty");
+    }
+
+    #[test]
+    fn nan_memberships_and_extreme_similarities_do_not_panic() {
+        let v = TermSet::standard_faultiness();
+        assert!(v.iter().any(|t| t.membership(f64::NAN).is_nan()));
+        assert!(v.fuzzify(f64::NAN).is_ok());
+        // Similarities clamp finite areas, so a valid estimation cannot
+        // make one NaN; a spread of f64::MAX gives subnormals and -0.0.
+        let huge = FuzzyInterval::new(0.5, 0.5, f64::MAX, 0.0).unwrap();
+        assert!(v
+            .iter()
+            .any(|t| t.similarity(&huge).to_bits() == (-0.0_f64).to_bits()));
+        assert!(v.best_match(&huge).is_ok());
     }
 
     #[test]

@@ -273,7 +273,7 @@ impl Pwl {
             }
         }
         xs.retain(|x| x.is_finite());
-        xs.sort_by(|p, q| p.partial_cmp(q).expect("finite"));
+        xs.sort_by(f64::total_cmp);
         xs.dedup_by(|p, q| (*p - *q).abs() < 1e-12);
         xs
     }
@@ -397,6 +397,21 @@ mod tests {
         let i = a.intersection(&b);
         assert!((i.area() - 0.25).abs() < 1e-9);
         assert!((i.height() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nan_segments_combine_without_panicking() {
+        let nan = Pwl {
+            segments: vec![Segment {
+                x0: f64::NAN,
+                x1: 1.0,
+                y0: f64::NAN,
+                y1: 1.0,
+            }],
+        };
+        let tent = fi(0.0, 0.0, 1.0, 1.0).to_pwl();
+        let _ = nan.intersection(&tent);
+        let _ = tent.union(&nan);
     }
 
     #[test]

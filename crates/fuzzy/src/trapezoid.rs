@@ -402,7 +402,7 @@ impl FuzzyInterval {
         }
         xs[n] = hi;
         n += 1;
-        xs[..n].sort_unstable_by(|p, q| p.partial_cmp(q).expect("finite breakpoints"));
+        xs[..n].sort_unstable_by(f64::total_cmp);
         let mut area = 0.0;
         for k in 0..n - 1 {
             let (u, v) = (xs[k], xs[k + 1]);
@@ -739,6 +739,16 @@ mod tests {
         assert_eq!(a.intersection_area(&p), 0.0);
         assert_eq!(p.intersection_area(&a), 0.0);
         assert_eq!(p.intersection_area(&p), 0.0);
+    }
+
+    #[test]
+    fn intersection_area_of_nan_breakpoints_does_not_panic() {
+        let nan = FuzzyInterval {
+            m1: f64::NAN,
+            m2: f64::NAN,
+            ..fi(0.0, 0.0, 1.0, 1.0)
+        };
+        assert!(nan.intersection_area(&nan).is_nan());
     }
 
     #[test]

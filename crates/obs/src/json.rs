@@ -96,6 +96,12 @@ pub fn parse(input: &str) -> Result<Value, String> {
     Ok(value)
 }
 
+/// How deep a [`Cursor`] lets objects and arrays nest.
+/// [`Cursor::value`] and [`Cursor::skip_value`] recurse once per level,
+/// so the bound is what keeps a hostile document (a request body of
+/// 100,000 `[`) from overflowing the stack of the thread that reads it.
+pub const MAX_DEPTH: usize = 128;
+
 /// A position in a JSON document, read front to back.
 ///
 /// Each reader consumes one value (or one structural step) and fails
@@ -130,13 +136,19 @@ pub fn parse(input: &str) -> Result<Value, String> {
 pub struct Cursor<'a> {
     text: &'a str,
     pos: usize,
+    /// Objects and arrays open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
     /// A cursor at the start of `text`.
     #[must_use]
     pub fn new(text: &'a str) -> Self {
-        Self { text, pos: 0 }
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     fn bytes(&self) -> &'a [u8] {
@@ -148,6 +160,24 @@ impl<'a> Cursor<'a> {
         while self.pos < bytes.len() && matches!(bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
             self.pos += 1;
         }
+    }
+
+    /// Consumes the `{` or `[` that opens a container.
+    fn open(&mut self, b: u8) -> Result<(), String> {
+        self.skip_ws();
+        let at = self.pos;
+        self.expect(b)?;
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {at}"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Consumes the `}` or `]` that closes a container.
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth = self.depth.saturating_sub(1);
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -176,10 +206,10 @@ impl<'a> Cursor<'a> {
     ///
     /// # Errors
     ///
-    /// Fails unless the next non-whitespace byte is `{`.
+    /// Fails unless the next non-whitespace byte is `{`, and with
+    /// `nesting deeper than 128 at byte N` past [`MAX_DEPTH`] levels.
     pub fn begin_object(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        self.expect(b'{')
+        self.open(b'{')
     }
 
     /// Steps to the next member of the object being read and returns
@@ -195,14 +225,14 @@ impl<'a> Cursor<'a> {
         if *first {
             *first = false;
             if self.bytes().get(self.pos) == Some(&b'}') {
-                self.pos += 1;
+                self.close();
                 return Ok(None);
             }
         } else {
             match self.bytes().get(self.pos) {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(None);
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
@@ -220,10 +250,10 @@ impl<'a> Cursor<'a> {
     ///
     /// # Errors
     ///
-    /// Fails unless the next non-whitespace byte is `[`.
+    /// Fails unless the next non-whitespace byte is `[`, and with
+    /// `nesting deeper than 128 at byte N` past [`MAX_DEPTH`] levels.
     pub fn begin_array(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        self.expect(b'[')
+        self.open(b'[')
     }
 
     /// Steps to the next element of the array being read: `true` when
@@ -239,7 +269,7 @@ impl<'a> Cursor<'a> {
         if *first {
             *first = false;
             if next == Some(&b']') {
-                self.pos += 1;
+                self.close();
                 return Ok(false);
             }
             return Ok(true);
@@ -250,7 +280,7 @@ impl<'a> Cursor<'a> {
                 Ok(true)
             }
             Some(b']') => {
-                self.pos += 1;
+                self.close();
                 Ok(false)
             }
             _ => Err(format!("expected ',' or ']' at byte {}", self.pos)),
@@ -965,6 +995,33 @@ mod tests {
             parse("[1.5.3]"),
             Err("invalid number \"1.5.3\" at byte 1".into())
         );
+    }
+
+    /// `depth` arrays, the innermost holding an object member, closed.
+    fn nested(depth: usize) -> String {
+        let mut doc = "[".repeat(depth - 1) + "{\"a\":1}";
+        doc.push_str(&"]".repeat(depth - 1));
+        doc
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_128_levels() {
+        let ok = nested(128);
+        assert_eq!(Cursor::new(&ok).skip_value(), Ok(()));
+        assert!(Cursor::new(&ok).value().is_ok());
+        // Closing a container frees its level: siblings do not add up.
+        let inner = nested(127);
+        let siblings = format!("[{inner},{inner}]");
+        assert_eq!(Cursor::new(&siblings).skip_value(), Ok(()));
+        assert!(parse(&siblings).is_ok());
+        let deep = nested(129);
+        let err = "nesting deeper than 128 at byte 128";
+        assert_eq!(Cursor::new(&deep).skip_value().unwrap_err(), err);
+        assert_eq!(Cursor::new(&deep).value().unwrap_err(), err);
+        // A hostile depth fails at the bound instead of overflowing.
+        let hostile = "{\"x\":".to_owned() + &"[".repeat(100_000);
+        let err = format!("nesting deeper than 128 at byte {}", 5 + 127);
+        assert_eq!(parse(&hostile).unwrap_err(), err);
     }
 
     #[test]

@@ -101,9 +101,9 @@ pub fn run_wave<'d>(
 /// already names the culprit) — while misses take the identical
 /// propagation path `run_wave` takes, so their reports and response
 /// bytes are unchanged. When [`CacheConfig::learn`] is set, each miss
-/// outcome is absorbed back into the store. `cache: None` (or a
-/// disabled config) *is* [`run_wave`]: one shared code path, so the
-/// cache-off bytes cannot drift.
+/// outcome is absorbed back into the store. `cache: None` *is*
+/// [`run_wave`]: one shared code path, so the cache-off bytes cannot
+/// drift.
 ///
 /// # Errors
 ///
@@ -115,7 +115,6 @@ pub fn run_wave_cached<'d>(
     cache: Option<(&RuleStore, &CacheConfig)>,
 ) -> Result<Vec<BoardOutcome>> {
     debug_assert_eq!(boards.len(), want_next_probe.len());
-    let cache = cache.filter(|(_, config)| config.enabled);
     // Dedup in first-occurrence order, so session order — and hence the
     // whole wave — is a deterministic function of the drained queue.
     let mut unique_of: HashMap<Vec<(usize, [u64; 4])>, usize> = HashMap::new();

@@ -57,7 +57,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Runs one gated experiment binary. Keeps the previous BENCH_*.json
 # around so a gate failure prints the old speedups next to the new ones
-# instead of a bare assert message.
+# instead of a bare assert message. A failed gate is recorded in
+# $failed; the later gates still run and the script fails at the end.
+failed=""
 run_gate() {
     bin="$1"
     json="$2"
@@ -71,7 +73,8 @@ run_gate() {
             grep -n '"speedup"' "$json.prev" | sed 's/^/!!   prev /' || true
             grep -n '"speedup"' "$json" | sed 's/^/!!   new  /' || true
         fi
-        exit 1
+        failed="$failed $bin"
+        return 0
     fi
     rm -f "$json.prev"
 }
@@ -94,10 +97,17 @@ run_gate exp_shard BENCH_shard.json
 echo "==> exp_serve (HTTP gate: served bytes == in-process wave reference, coalesced >= 1.5x one-request-per-wave)"
 run_gate exp_serve BENCH_serve.json
 
-echo "==> exp_learn (rule-cache gate: cold/disabled/miss reports == engine, warm hit rate >= 0.5 and >= 2x, cold >= 0.9x floor)"
+echo "==> exp_learn (rule-cache gate: cold/miss reports == engine, warm hit rate >= 0.5 and >= 2x, cold >= 0.9x floor)"
 run_gate exp_learn BENCH_learn.json
 
 echo "==> serve_http example with observability compiled out (server must serve with no-op metrics)"
-cargo run -q --example serve_http --no-default-features
+if ! cargo run -q --example serve_http --no-default-features; then
+    echo "!! serve_http (observability off) failed"
+    failed="$failed serve_http"
+fi
 
+if [ -n "$failed" ]; then
+    echo "verify: FAILED gates:$failed"
+    exit 1
+fi
 echo "verify: OK"

@@ -142,7 +142,7 @@ fn fuzzy_nogoods(session: &flames::core::Session<'_>) -> Vec<String> {
                 "rectangular inputs admit only total conflicts, got degree {}",
                 n.degree
             );
-            prop.pool().render(n.env.iter())
+            prop.schedule().pool().render(n.env.iter())
         })
         .collect();
     out.sort();
@@ -154,7 +154,7 @@ fn fuzzy_candidates(session: &flames::core::Session<'_>) -> Vec<String> {
     let mut out: Vec<String> = session
         .candidates(3, 4096)
         .iter()
-        .map(|c| prop.pool().render(c.env.iter()))
+        .map(|c| prop.schedule().pool().render(c.env.iter()))
         .collect();
     out.sort();
     out
@@ -296,7 +296,7 @@ fn fuzzy_equals_crisp_on_200_rectangular_boards() {
             }
 
             // Serving-path cross-check on a sample of boards: the cold
-            // (legacy rebuild) and pooled paths must match the compiled
+            // (live seed fixpoint) and pooled paths must match the compiled
             // session down to the exported diagnosis trace bytes.
             if boards_checked.is_multiple_of(10) {
                 fn run<'d>(

@@ -15,7 +15,7 @@
 //! each board runs a seed run and a measured incremental run on a bare
 //! [`Propagator`] at step caps of 1 and 7, where the order the agenda
 //! pops constraints decides which applications fit under the cap, and
-//! once more on a private schedule ([`Propagator::new`]). The step
+//! once more on a private schedule built for that board alone. The step
 //! counts of both runs are hashed with the fixpoint. These constants
 //! were captured while the agenda still carried per-board lane masks,
 //! and pin the one-board FIFO that replaced it to the same order.
@@ -145,8 +145,8 @@ fn run_two_stage(
 }
 
 /// Every board through [`run_two_stage`] on a shared schedule at step
-/// caps 1 and 7, then on a private schedule ([`Propagator::new`]) under
-/// `config`.
+/// caps 1 and 7, then on a private schedule (one built for that board
+/// alone) under `config`.
 fn two_stage_digests(
     netlist: &Netlist,
     network: &Network,
@@ -170,7 +170,8 @@ fn two_stage_digests(
         }
     }
     for (name, readings) in boards {
-        let prop = Propagator::new(netlist, network, config);
+        let schedule = CompiledSchedule::build(netlist, network, config);
+        let prop = Propagator::with_schedule(network, &schedule, config);
         out.push((
             format!("private {name}"),
             run_two_stage(prop, network, test_points, readings),

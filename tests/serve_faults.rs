@@ -189,3 +189,22 @@ fn garbage_request_line_is_rejected() {
     assert_still_serving(&handle);
     handle.shutdown();
 }
+
+#[test]
+fn deeply_nested_json_is_a_bad_request() {
+    // 100 kB of `[`, under the 1 MiB body cap: unbounded recursion
+    // would overflow the worker's stack and abort the process.
+    let handle = serve("127.0.0.1:0", divider(), ServeConfig::default()).unwrap();
+    let body = "{\"x\":".to_owned() + &"[".repeat(100_000);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let response = client.diagnose(&body).unwrap();
+    assert_eq!(response.status, 400);
+    assert_taxonomy(&response.body, 400, "bad_request");
+    assert!(
+        response.body.contains("nesting deeper than 128"),
+        "{}",
+        response.body
+    );
+    assert_still_serving(&handle);
+    handle.shutdown();
+}

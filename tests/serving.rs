@@ -1,6 +1,6 @@
 //! Serving-path determinism: the compile-once/serve-many refactor must
 //! never change a diagnosis. Batch runs (any thread count), warm
-//! reused sessions, and cold legacy sessions all have to
+//! reused sessions, and cold sessions (live seed fixpoint) all have to
 //! produce reports byte-identical to a fresh sequential session per
 //! board — on the paper's Fig. 6 three-stage amplifier and Fig. 5 diode
 //! network.
@@ -256,14 +256,14 @@ fn cold_sessions_match_compiled_sessions() {
     assert_eq!(
         format!("{cold:?}"),
         format!("{reference:?}"),
-        "the legacy per-session rebuild must match the compiled path"
+        "the live seed fixpoint must match the snapshot restore"
     );
 }
 
 /// The serving paths must agree beyond the `Report`: the exported
 /// diagnosis trace — every propagation wave, coincidence, nogood and
 /// candidate, in order — has to be byte-identical whether a board was
-/// diagnosed on a fresh compiled session, a cold (legacy rebuild)
+/// diagnosed on a fresh compiled session, a cold (live seed fixpoint)
 /// session, or a pooled warm session. The trace clock is logical
 /// (derivation order), which is what makes byte equality meaningful.
 #[test]
